@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-json vet-concurrency vet-effects race check bench bench-smoke bench-json clean fuzz faults chaos
+.PHONY: all build test vet lint vet-json vet-concurrency vet-effects race check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
 
 all: check
 
@@ -102,6 +102,17 @@ check: lint build race fuzz
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
+# The request benchmark (mclbench/, BENCHMARK.json) is a Go module of
+# its own that imports mclegal/internal/... through a replace
+# directive, so neither `go vet ./...` nor `go test ./...` at the root
+# compiles it. This target vets it and runs its smoke tests with the
+# workspace off, so an internal API change that breaks the benchmark
+# fails CI instead of the next benchmark run. CI runs it in the check
+# job.
+mclbench-check:
+	cd mclbench && GOWORK=off $(GO) vet ./...
+	cd mclbench && GOWORK=off $(GO) test ./...
+
 # One-iteration run of the MGL throughput bench plus the mcf solver
 # sweep in smoke mode (tiny instances, one iteration per config, full
 # cross-solver validation): catches bit-rot in the bench harnesses
@@ -115,11 +126,11 @@ bench-smoke:
 # BENCH_mgl.json (ns/op, allocs/op, cells/sec, speedup vs workers=1),
 # shard concurrencies into BENCH_shard.json (ns/op, per-region
 # wall-clock breakdown, speedup vs shards=1), server latencies into
-# BENCH_serve.json, and the min-cost-flow solver layer (pivot rules,
-# solver reuse, warm-start resolves, cross-solver validation) into
-# BENCH_mcf.json, and the mclegal-vet analyzer suite itself (one shared
-# program load plus each analyzer's incremental cost) into
-# BENCH_vet.json. Compare the committed baselines against a fresh run
+# BENCH_serve.json, the min-cost-flow solver layer (the production
+# simplex on fresh and reused solvers, the reference solvers,
+# cross-solver validation) into BENCH_mcf.json, and the mclegal-vet
+# analyzer suite itself (one shared program load plus each analyzer's
+# incremental cost) into BENCH_vet.json. Compare the committed baselines against a fresh run
 # to judge a perf change; see docs/PERFORMANCE.md.
 bench-json:
 	$(GO) run ./cmd/benchjson -mode mgl -out BENCH_mgl.json

@@ -16,7 +16,6 @@ import (
 	"mclegal/internal/baseline"
 	"mclegal/internal/eval"
 	"mclegal/internal/maxdisp"
-	"mclegal/internal/mcf"
 	"mclegal/internal/mgl"
 	"mclegal/internal/refine"
 	"mclegal/internal/seg"
@@ -264,48 +263,6 @@ func BenchmarkAblationN0(b *testing.B) {
 			}
 			b.ReportMetric(avg, "avgdisp/rows")
 			b.ReportMetric(max, "maxdisp/rows")
-		})
-	}
-}
-
-// BenchmarkAblationPivotRule compares the two network-simplex pivot
-// rules on the refinement flow network.
-func BenchmarkAblationPivotRule(b *testing.B) {
-	// Build a representative refinement graph once via a legalized
-	// instance, then solve it under both rules.
-	d := ispdDesigns()[0].Clone()
-	if _, err := mclegal.Legalize(d, mclegal.Options{
-		TotalDisplacement: true, Workers: 1, SkipRefine: true,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	build := func() *mcf.Graph {
-		// A long-chain min-cost-flow akin to the refinement network.
-		g := mcf.NewGraph(1001)
-		for i := 0; i < 1000; i++ {
-			g.AddArc(i, 1000, 4, int64(i%97))
-			g.AddArc(1000, i, 4, -int64(i%97))
-			if i > 0 {
-				g.AddArc(i-1, i, 1<<20, -3)
-			}
-		}
-		return g
-	}
-	for _, rule := range []struct {
-		name string
-		r    mcf.PivotRule
-	}{{"FirstEligible", mcf.FirstEligible}, {"BlockSearch", mcf.BlockSearch}} {
-		b.Run(rule.name, func(b *testing.B) {
-			var pivots int
-			for i := 0; i < b.N; i++ {
-				g := build()
-				res, err := g.SolveWith(rule.r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots = res.Pivots
-			}
-			b.ReportMetric(float64(pivots), "pivots")
 		})
 	}
 }

@@ -17,9 +17,9 @@
 // wall-clock breakdown of the plan; the serve mode profiles the
 // legalization server end to end over an in-process HTTP server and
 // records per-endpoint request-latency percentiles (p50/p90/p99/max);
-// the mcf mode sweeps the min-cost-flow solver layer (pivot rules,
-// solver reuse, warm-start resolves) over the benchmark graph families
-// with cross-solver validation (see mcf.go); the vet mode times the
+// the mcf mode measures the production network simplex on fresh and
+// reused solvers, plus the reference solvers, over the benchmark graph
+// families with cross-solver validation (see mcf.go); the vet mode times the
 // full fourteen-analyzer mclegal-vet suite over the scoped program and
 // records each analyzer's incremental wall time and diagnostic count
 // (see vet.go).

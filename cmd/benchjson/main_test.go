@@ -23,9 +23,10 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // The mcf smoke sweep must survive its own cross-solver validation and
-// produce a well-formed report: all three families, simplex rows for
-// every rule×mode, zero allocs on the reused paths, and an SSP row
-// carrying its own (smaller) instance size.
+// produce a well-formed report: all three families, the fresh and
+// reused simplex rows plus the two reference solvers, zero allocs on
+// the reused simplex row, and an SSP row carrying its own (smaller)
+// instance size.
 func TestRunMCFSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmark measurements")
@@ -38,24 +39,28 @@ func TestRunMCFSmoke(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if !rep.Smoke || len(rep.Families) != 3 {
+	if !rep.Smoke || len(rep.Families) != 3 || rep.CPUModel == "" {
 		t.Fatalf("report = %+v", rep)
 	}
 	for _, fam := range rep.Families {
-		if len(fam.Runs) != 3*3+2 {
-			t.Errorf("%s: %d runs, want 11", fam.Family, len(fam.Runs))
+		if len(fam.Runs) != 4 {
+			t.Errorf("%s: %d runs, want 4", fam.Family, len(fam.Runs))
 		}
-		if len(fam.Validation.Solvers) < 6 {
+		if len(fam.Validation.Solvers) < 3 {
 			t.Errorf("%s: only %v validated", fam.Family, fam.Validation.Solvers)
 		}
 		for _, r := range fam.Runs {
-			if r.Mode != "cold-fresh" && r.AllocsPerOp != 0 {
-				t.Errorf("%s %s/%s %s: %d allocs/op, want 0",
-					fam.Family, r.Solver, r.Rule, r.Mode, r.AllocsPerOp)
+			if r.Mode == "cold-reused" && r.AllocsPerOp != 0 {
+				t.Errorf("%s %s %s: %d allocs/op, want 0",
+					fam.Family, r.Solver, r.Mode, r.AllocsPerOp)
 			}
 			if r.Solver == "ssp" && r.Nodes >= fam.Nodes {
 				t.Errorf("%s: ssp row claims bench size %d", fam.Family, r.Nodes)
 			}
+		}
+		if fam.ColdAllocs == 0 || fam.ReusedAllocs != 0 {
+			t.Errorf("%s: cold %d / reused %d allocs/op, want >0 / 0",
+				fam.Family, fam.ColdAllocs, fam.ReusedAllocs)
 		}
 	}
 }

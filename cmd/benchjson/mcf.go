@@ -1,24 +1,32 @@
 // mcf mode: the solver-layer sweep behind BENCH_mcf.json. It measures
-// the network-simplex pivot rules and the reusable-Solver/warm-start
-// machinery over the three benchmark graph families (mcf/families.go)
-// and cross-validates every configuration against the independent
-// solvers before recording a single number: on each family's
-// validation instance, simplex under all three pivot rules,
-// cost-scaling, SSP, a warm Resolve round-trip, and (assignment only)
-// the Hungarian matching solver must all report the same optimal cost,
-// or the sweep aborts.
+// the production network simplex, (*mcf.Solver).Solve, on a fresh and
+// on a reused Solver, plus the two reference solvers, over the three
+// benchmark graph families (mcf/families.go). Every family is
+// cross-validated before a single number is recorded: on its
+// validation instance the simplex, cost-scaling, SSP and (assignment
+// only) the Hungarian matching solver must all report the same optimal
+// cost, or the sweep aborts.
 //
 // SSP is benchmarked at the (smaller) validation size — its
 // Bellman-Ford inner loop does not finish in sensible time at the
 // simplex bench sizes — so every run records its own nodes/arcs; rows
 // are only comparable at equal sizes.
+//
+// Times come from testing.Benchmark. Allocation counts come from
+// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and discards a
+// warm-up run, so a stray runtime allocation elsewhere in the process
+// cannot land on a row (testing.Benchmark counts process-wide mallocs).
+// The per-rule comparison that tuned the size-keyed pivot rule lives in
+// the package: go test -run '^$' -bench PivotRules ./internal/mcf.
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mclegal/internal/matching"
@@ -27,20 +35,16 @@ import (
 
 // mcfRun is one measured configuration on one family.
 type mcfRun struct {
-	Solver string `json:"solver"`         // simplex | costscaling | ssp
-	Rule   string `json:"rule,omitempty"` // pivot rule (simplex only)
-	// Mode: cold-fresh allocates a solver per solve (the pre-Solver
-	// code path), cold-reused solves the same shape on one Solver,
-	// warm-resolve alternates a perturbation and its inverse through
-	// Solver.Resolve.
-	Mode        string  `json:"mode"`
-	Nodes       int     `json:"nodes"`
-	Arcs        int     `json:"arcs"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Pivots      float64 `json:"pivots,omitempty"` // mean pivots per solve (simplex only)
-	GOMAXPROCS  int     `json:"gomaxprocs"`
+	Solver string `json:"solver"` // simplex | costscaling | ssp
+	// Mode: cold-fresh allocates a solver per solve, cold-reused
+	// solves the same instance on one long-lived Solver (simplex only).
+	Mode        string `json:"mode"`
+	Nodes       int    `json:"nodes"`
+	Arcs        int    `json:"arcs"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	Pivots      int    `json:"pivots,omitempty"` // pivots per solve (simplex only)
+	GOMAXPROCS  int    `json:"gomaxprocs"`
 }
 
 // mcfValidation records the cross-solver agreement that gates the
@@ -57,11 +61,6 @@ type mcfFamilySummary struct {
 	Family string `json:"family"`
 	Nodes  int    `json:"nodes"`
 	Arcs   int    `json:"arcs"`
-	// Pivot economy of warm starts: cold vs warm mean pivots under
-	// first-eligible on the same perturbation sequence.
-	ColdPivots     float64 `json:"cold_pivots"`
-	WarmPivots     float64 `json:"warm_pivots"`
-	WarmPivotRatio float64 `json:"warm_pivot_ratio"`
 	// Allocation economy of Solver reuse vs a fresh solve.
 	ColdAllocs   int64         `json:"cold_allocs_per_op"`
 	ReusedAllocs int64         `json:"reused_allocs_per_op"`
@@ -73,6 +72,7 @@ type mcfFamilySummary struct {
 type mcfReport struct {
 	Bench     string             `json:"bench"`
 	Smoke     bool               `json:"smoke,omitempty"`
+	CPUModel  string             `json:"cpu_model"`
 	NumCPU    int                `json:"numcpu"`
 	GoVersion string             `json:"goversion"`
 	Families  []mcfFamilySummary `json:"families"`
@@ -104,7 +104,9 @@ func mcfFamilies(smoke bool) []mcfFamily {
 	}
 }
 
-var mcfRules = []mcf.PivotRule{mcf.FirstEligible, mcf.BlockSearch, mcf.CandidateList}
+// allocRuns is the testing.AllocsPerRun count per row. The solvers'
+// allocation counts are deterministic, so a few runs suffice.
+const allocRuns = 5
 
 // sweepMCF measures the solver layer and returns the report committed
 // as BENCH_mcf.json. Smoke mode shrinks every instance and clamps
@@ -122,6 +124,7 @@ func sweepMCF(smoke bool) mcfReport {
 	rep := mcfReport{
 		Bench:     "MCFSolvers",
 		Smoke:     smoke,
+		CPUModel:  cpuModel(),
 		NumCPU:    runtime.NumCPU(),
 		GoVersion: runtime.Version(),
 	}
@@ -142,253 +145,131 @@ func sweepMCFFamily(fam mcfFamily) mcfFamilySummary {
 		fam.name, sum.Nodes, sum.Arcs, sum.Validation.Cost, sum.Validation.Nodes)
 
 	g := fam.bench
-	upsA := mcf.PerturbCosts(g, 0.25, 101)
-	upsB := invertUpdates(g, upsA)
-
-	for _, rule := range mcfRules {
-		sum.Runs = append(sum.Runs, benchColdFresh(g, rule))
-		sum.Runs = append(sum.Runs, benchColdReused(g, rule))
-		sum.Runs = append(sum.Runs, benchWarmResolve(g, rule, upsA, upsB))
+	ctx := context.Background()
+	res, err := mcf.NewSolver().Solve(ctx, g)
+	if err != nil {
+		log.Fatalf("%s: simplex: %v", fam.name, err)
 	}
-	sum.Runs = append(sum.Runs, benchAltSolver(g, "costscaling", func() error {
+	pivots := res.Pivots
+	fresh := measureMCF(g, "simplex", "cold-fresh", pivots, func() error {
+		_, err := mcf.NewSolver().Solve(ctx, g)
+		return err
+	})
+	sv := mcf.NewSolver()
+	reused := measureMCF(g, "simplex", "cold-reused", pivots, func() error {
+		_, err := sv.Solve(ctx, g)
+		return err
+	})
+	costScaling := measureMCF(g, "costscaling", "cold-fresh", 0, func() error {
 		_, err := g.SolveCostScaling()
 		return err
-	}))
+	})
 	// SSP at validation size only; its nodes/arcs fields say so.
 	vg := fam.valid
-	sum.Runs = append(sum.Runs, benchAltSolver(vg, "ssp", func() error {
+	ssp := measureMCF(vg, "ssp", "cold-fresh", 0, func() error {
 		_, err := vg.SolveSSP()
 		return err
-	}))
+	})
+	sum.Runs = []mcfRun{fresh, reused, costScaling, ssp}
 
-	for _, r := range sum.Runs {
-		if r.Solver != "simplex" || r.Rule != mcf.FirstEligible.String() {
-			continue
-		}
-		switch r.Mode {
-		case "cold-fresh":
-			sum.ColdPivots = r.Pivots
-			sum.ColdAllocs = r.AllocsPerOp
-		case "cold-reused":
-			sum.ReusedAllocs = r.AllocsPerOp
-		case "warm-resolve":
-			sum.WarmPivots = r.Pivots
-		}
+	sum.ColdAllocs = fresh.AllocsPerOp
+	sum.ReusedAllocs = reused.AllocsPerOp
+	denom := sum.ReusedAllocs
+	if denom < 1 {
+		denom = 1
 	}
-	warmPiv := sum.WarmPivots
-	if warmPiv < 1 { // a resolve that repairs without pivoting
-		warmPiv = 1
-	}
-	sum.WarmPivotRatio = sum.ColdPivots / warmPiv
-	reused := sum.ReusedAllocs
-	if reused < 1 {
-		reused = 1
-	}
-	sum.AllocRatio = float64(sum.ColdAllocs) / float64(reused)
-	log.Printf("%s: warm pivot ratio %.1fx (%.0f cold -> %.1f warm), alloc ratio %.0fx (%d -> %d)",
-		fam.name, sum.WarmPivotRatio, sum.ColdPivots, sum.WarmPivots,
-		sum.AllocRatio, sum.ColdAllocs, sum.ReusedAllocs)
+	sum.AllocRatio = float64(sum.ColdAllocs) / float64(denom)
+	log.Printf("%s: alloc ratio %.0fx (%d -> %d)", fam.name, sum.AllocRatio, sum.ColdAllocs, sum.ReusedAllocs)
 	return sum
 }
 
-// validateMCFFamily proves every solver configuration agrees on the
-// validation instance's optimal cost, aborting the sweep otherwise.
+// validateMCFFamily proves every solver agrees on the validation
+// instance's optimal cost, aborting the sweep otherwise.
 func validateMCFFamily(fam mcfFamily) mcfValidation {
 	g := fam.valid
 	val := mcfValidation{Nodes: g.NumNodes(), Arcs: g.NumArcs()}
-	check := func(name string, cost int64, err error) {
+	check := func(name string, res *mcf.Result, err error) {
 		if err != nil {
 			log.Fatalf("%s validation: %s: %v", fam.name, name, err)
 		}
+		if verr := g.VerifyOptimal(res); verr != nil {
+			log.Fatalf("%s validation: %s certificate: %v", fam.name, name, verr)
+		}
 		if len(val.Solvers) == 0 {
-			val.Cost = cost
-		} else if cost != val.Cost {
+			val.Cost = res.Cost
+		} else if res.Cost != val.Cost {
 			log.Fatalf("%s validation: %s found cost %d, others found %d",
-				fam.name, name, cost, val.Cost)
+				fam.name, name, res.Cost, val.Cost)
 		}
 		val.Solvers = append(val.Solvers, name)
 	}
-	for _, rule := range mcfRules {
-		res, err := g.SolveWith(rule)
-		if err == nil {
-			if verr := g.VerifyOptimal(res); verr != nil {
-				log.Fatalf("%s validation: simplex/%v certificate: %v", fam.name, rule, verr)
-			}
-		}
-		var cost int64
-		if res != nil {
-			cost = res.Cost
-		}
-		check("simplex/"+rule.String(), cost, err)
-	}
-	res, err := g.SolveCostScaling()
-	check("costscaling", costOf(res), err)
+	res, err := mcf.NewSolver().Solve(context.Background(), g)
+	check("simplex", res, err)
+	res, err = g.SolveCostScaling()
+	check("costscaling", res, err)
 	res, err = g.SolveSSP()
-	check("ssp", costOf(res), err)
-
-	// Warm Resolve round-trip: perturb, resolve, compare against a cold
-	// solve of the perturbed twin, revert, land back on val.Cost.
-	sv := mcf.NewSolver()
-	if _, err := sv.SolveWith(g, mcf.FirstEligible); err != nil {
-		log.Fatalf("%s validation: warm setup: %v", fam.name, err)
-	}
-	ups := mcf.PerturbCosts(g, 0.3, 77)
-	inv := invertUpdates(g, ups)
-	warmRes, err := sv.Resolve(ups)
-	if err != nil {
-		log.Fatalf("%s validation: resolve: %v", fam.name, err)
-	}
-	coldRes, err := mcf.ApplyUpdates(g, ups).SolveWith(mcf.FirstEligible)
-	if err != nil || warmRes.Cost != coldRes.Cost {
-		log.Fatalf("%s validation: warm resolve cost %d, cold twin %v (err %v)",
-			fam.name, warmRes.Cost, coldRes, err)
-	}
-	backRes, err := sv.Resolve(inv)
-	check("simplex/warm-resolve", costOf(backRes), err)
+	check("ssp", res, err)
 
 	if fam.assignN > 0 {
 		n := fam.assignN
 		var msv matching.Solver
-		_, total, ok := msv.MinCostPerfect(n, func(i, j int) int64 {
+		_, total, ok, err := msv.Solve(context.Background(), n, func(i, j int) int64 {
 			return g.Arc(i*n + j).Cost
 		})
-		if !ok {
-			log.Fatalf("%s validation: matching found no perfect assignment", fam.name)
+		if err != nil || !ok {
+			log.Fatalf("%s validation: matching found no perfect assignment (err %v)", fam.name, err)
 		}
-		check("matching/hungarian", total, nil)
+		if total != val.Cost {
+			log.Fatalf("%s validation: matching/hungarian found cost %d, others found %d",
+				fam.name, total, val.Cost)
+		}
+		val.Solvers = append(val.Solvers, "matching/hungarian")
 	}
 	return val
 }
 
-func costOf(res *mcf.Result) int64 {
-	if res == nil {
-		return 0
-	}
-	return res.Cost
-}
-
-// invertUpdates builds the update set that restores g's original
-// costs/caps after ups has been applied.
-func invertUpdates(g *mcf.Graph, ups []mcf.ArcUpdate) []mcf.ArcUpdate {
-	inv := make([]mcf.ArcUpdate, len(ups))
-	for i, u := range ups {
-		arc := g.Arc(u.Arc)
-		inv[i] = mcf.ArcUpdate{Arc: u.Arc, Cost: arc.Cost, Cap: arc.Cap}
-	}
-	return inv
-}
-
-func benchColdFresh(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
-	res, err := g.SolveWith(rule)
-	if err != nil {
-		log.Fatalf("cold-fresh %v: %v", rule, err)
-	}
-	pivots := res.Pivots
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.SolveWith(rule); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return mcfRunFrom(g, "simplex", rule.String(), "cold-fresh", r, float64(pivots))
-}
-
-func benchColdReused(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
-	sv := mcf.NewSolver()
-	res, err := sv.SolveWith(g, rule)
-	if err != nil {
-		log.Fatalf("cold-reused %v: %v", rule, err)
-	}
-	pivots := res.Pivots
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sv.SolveWith(g, rule); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return mcfRunFrom(g, "simplex", rule.String(), "cold-reused", r, float64(pivots))
-}
-
-// benchWarmResolve alternates a perturbation and its inverse through
-// one Solver so every measured iteration is a warm Resolve between two
-// nearby instances. Pivot counts are averaged over a measured A/B
-// window after the scratch arrays and basis cycle have settled.
-func benchWarmResolve(g *mcf.Graph, rule mcf.PivotRule, upsA, upsB []mcf.ArcUpdate) mcfRun {
-	sv := mcf.NewSolver()
-	if _, err := sv.SolveWith(g, rule); err != nil {
-		log.Fatalf("warm-resolve %v: %v", rule, err)
-	}
-	flip := 0
-	step := func() error {
-		ups := upsA
-		if flip%2 == 1 {
-			ups = upsB
-		}
-		flip++
-		_, err := sv.ResolveWith(ups, rule)
-		return err
-	}
-	for i := 0; i < 16; i++ { // settle the A/B cycle
-		if err := step(); err != nil {
-			log.Fatalf("warm-resolve %v warm-up: %v", rule, err)
-		}
-	}
-	before := sv.Stats().TotalPivots
-	const window = 8
-	for i := 0; i < window; i++ {
-		if err := step(); err != nil {
-			log.Fatalf("warm-resolve %v: %v", rule, err)
-		}
-	}
-	pivots := float64(sv.Stats().TotalPivots-before) / window
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return mcfRunFrom(g, "simplex", rule.String(), "warm-resolve", r, pivots)
-}
-
-func benchAltSolver(g *mcf.Graph, name string, solve func() error) mcfRun {
+// measureMCF times solve with testing.Benchmark and counts its
+// allocations with testing.AllocsPerRun.
+func measureMCF(g *mcf.Graph, solver, mode string, pivots int, solve func() error) mcfRun {
 	if err := solve(); err != nil {
-		log.Fatalf("%s: %v", name, err)
+		log.Fatalf("%s %s: %v", solver, mode, err)
 	}
 	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := solve(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	return mcfRunFrom(g, name, "", "cold-fresh", r, 0)
-}
-
-func mcfRunFrom(g *mcf.Graph, solver, rule, mode string, r testing.BenchmarkResult, pivots float64) mcfRun {
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		if err := solve(); err != nil {
+			log.Fatalf("%s %s: %v", solver, mode, err)
+		}
+	})
 	run := mcfRun{
 		Solver:      solver,
-		Rule:        rule,
 		Mode:        mode,
 		Nodes:       g.NumNodes(),
 		Arcs:        g.NumArcs(),
 		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: int64(allocs),
 		Pivots:      pivots,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
-	label := run.Solver
-	if rule != "" {
-		label = fmt.Sprintf("%s/%s", solver, rule)
-	}
-	log.Printf("  %-28s %-12s %12d ns/op  %8d allocs/op  pivots %.1f",
-		label, mode, run.NsPerOp, run.AllocsPerOp, run.Pivots)
+	log.Printf("  %-12s %-12s %12d ns/op  %8d allocs/op  pivots %d",
+		solver, mode, run.NsPerOp, run.AllocsPerOp, run.Pivots)
 	return run
+}
+
+// cpuModel is the first "model name" of /proc/cpuinfo, or GOARCH.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOARCH
 }

@@ -3,8 +3,8 @@
 // the context must flow into everything it calls that can honour it.
 // A dropped context is how a cancelled run keeps a min-cost-flow pivot
 // loop or an assignment solve running to completion long after the
-// caller gave up (the bug class fixed in refine -> mcf.SolveContext and
-// maxdisp -> matching.MinCostPerfectContext).
+// caller gave up (the bug class fixed by giving mcf.Solver.Solve and
+// matching.Solver.Solve a ctx parameter that refine and maxdisp pass).
 //
 // In a function that receives a context.Context, the analyzer reports:
 //
@@ -19,7 +19,7 @@
 // context.Background()/TODO() are also reported: internal helpers must
 // accept a context from their caller, not mint a fresh one. Exported
 // context-less functions are exempt — they are the documented
-// convenience facades (mclegal.Legalize, flow.Run, mcf.Solve) whose
+// convenience facades (mclegal.Legalize, flow.Run, refine.Optimize) whose
 // contract is "no cancellation".
 //
 // Suppress a finding with //mclegal:ctx <why> on the call line or the

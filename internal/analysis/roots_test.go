@@ -14,14 +14,16 @@ import (
 // tree contains it:
 //
 //	(*mgl.Legalizer).bestInWindow  — mgl.TestBestInWindowZeroAlloc
-//	(*mcf.Solver).resolve          — mcf.TestResolveZeroAlloc
-//	(*matching.Solver).solve       — matching.TestSolverReuseZeroAlloc
-//	                                 (root: augmentRow, inside solve)
+//	(*mcf.Solver).Solve            — mcf.TestReusedColdSolveZeroAlloc
+//	                                 (root: (*simplex).runPivots, inside Solve)
+//	(*matching.Solver).Solve       — matching.TestSolverReuseZeroAlloc
+//	                                 (root: augmentRow, inside Solve)
 //
 // Every anchor marked mustBeRoot must itself carry the hotpath
-// annotation, and every root must be reachable from some anchor —
-// otherwise the static proof would claim coverage no benchmark
-// actually measures, and the two could silently drift apart.
+// annotation, every anchor's call tree must contain a root, and every
+// root must be reachable from some anchor — otherwise the static proof
+// would claim coverage no benchmark actually measures, and the two
+// could silently drift apart.
 func TestHotPathRootsMatchDynamicProof(t *testing.T) {
 	prog := loadScopedProgram(t)
 	cg, err := prog.CallGraph()
@@ -42,10 +44,14 @@ func TestHotPathRootsMatchDynamicProof(t *testing.T) {
 		witness          string
 	}{
 		{"mclegal/internal/mgl", "Legalizer", "bestInWindow", true, "mgl.TestBestInWindowZeroAlloc"},
-		{"mclegal/internal/mcf", "Solver", "resolve", true, "mcf.TestResolveZeroAlloc"},
-		{"mclegal/internal/matching", "Solver", "solve", false, "matching.TestSolverReuseZeroAlloc"},
+		{"mclegal/internal/mcf", "Solver", "Solve", false, "mcf.TestReusedColdSolveZeroAlloc"},
+		{"mclegal/internal/matching", "Solver", "Solve", false, "matching.TestSolverReuseZeroAlloc"},
 	}
 
+	isRoot := map[*framework.Node]bool{}
+	for _, r := range roots {
+		isRoot[r] = true
+	}
 	reach := map[*framework.Node]bool{}
 	for _, a := range anchors {
 		pkg := prog.Package(a.pkg)
@@ -65,35 +71,33 @@ func TestHotPathRootsMatchDynamicProof(t *testing.T) {
 		if node == nil {
 			t.Fatalf("%s has no call-graph node", fn.FullName())
 		}
-		if a.mustBeRoot {
-			isRoot := false
-			for _, r := range roots {
-				if r == node {
-					isRoot = true
-				}
-			}
-			if !isRoot {
-				t.Errorf("%s is not a //mclegal:hotpath root; the static proof no longer covers what %s measures",
-					fn.FullName(), a.witness)
-			}
+		if a.mustBeRoot && !isRoot[node] {
+			t.Errorf("%s is not a //mclegal:hotpath root; the static proof no longer covers what %s measures",
+				fn.FullName(), a.witness)
 		}
 
 		// BFS from the anchor over in-program edges.
-		if reach[node] {
-			continue
-		}
-		reach[node] = true
+		seen := map[*framework.Node]bool{node: true}
+		coversRoot := isRoot[node]
 		queue := []*framework.Node{node}
 		for len(queue) > 0 {
 			n := queue[0]
 			queue = queue[1:]
 			for _, e := range n.Out {
-				if e.Callee == nil || e.Callee.External() || reach[e.Callee] {
+				if e.Callee == nil || e.Callee.External() || seen[e.Callee] {
 					continue
 				}
-				reach[e.Callee] = true
+				seen[e.Callee] = true
+				coversRoot = coversRoot || isRoot[e.Callee]
 				queue = append(queue, e.Callee)
 			}
+		}
+		if !coversRoot {
+			t.Errorf("%s reaches no //mclegal:hotpath root; the static proof covers nothing %s measures",
+				fn.FullName(), a.witness)
+		}
+		for n := range seen {
+			reach[n] = true
 		}
 	}
 	for _, r := range roots {

@@ -99,7 +99,7 @@ var WriteEffectClosure = []string{
 }
 
 // HotPathClosure lists every package the //mclegal:hotpath call trees
-// reach (mgl.bestInWindow, the mcf warm-start resolve path, and the
+// reach (mgl.bestInWindow, the mcf simplex pivot loop, and the
 // matching augment phase): the noalloc proof needs full bodies for all
 // of them, so program loads (suite tests, mclegal-vet) must include
 // the whole list.

@@ -9,11 +9,9 @@
 // the min-cost-flow formulation the paper references [20], specialized
 // to assignment problems for an O(n^3) bound.
 //
-// A Solver owns all scratch arrays (u/v/p/way/minv/used) and is reused
-// across instances; it can also carry the dual potentials of the
-// previous solve into the next same-size instance (a warm start), which
-// shortens the augmenting phases when consecutive instances are
-// similar, as the per-(type×fence) groups of one design sweep are.
+// The one entrypoint is (*Solver).Solve. A Solver owns all scratch
+// arrays (u/v/p/way/minv/used) and is reused across instances, so the
+// per-(type×fence) groups of one design sweep share its storage.
 package matching
 
 import (
@@ -31,8 +29,8 @@ const inf = int64(math.MaxInt64) / 4
 // Solver is a reusable assignment solver. The zero value is ready to
 // use. A Solver is not safe for concurrent use.
 //
-// The assign slice returned by its methods aliases solver-owned
-// storage and is valid until the next call on the same Solver.
+// The assign slice returned by Solve aliases solver-owned storage and
+// is valid until the next call on the same Solver.
 type Solver struct {
 	// 1-based arrays in the classic formulation; index 0 is virtual.
 	u, v   []int64 // dual potentials (rows, columns)
@@ -41,84 +39,6 @@ type Solver struct {
 	minv   []int64 // per-column min reduced cost this phase
 	used   []bool  // columns on the alternating tree this phase
 	assign []int
-
-	lastN     int
-	warmValid bool // duals are from a completed solve of size lastN
-	lastWarm  bool
-	stats     SolverStats
-}
-
-// SolverStats counts a Solver's activity since creation.
-type SolverStats struct {
-	Solves int // completed solves (perfect matching found)
-	// WarmHits / WarmMisses split the warm-start attempts: a hit
-	// reused the stored duals, a miss fell back to zero duals (first
-	// solve, size change, or stored duals infeasible for the costs).
-	WarmHits   int
-	WarmMisses int
-}
-
-// NewSolver returns an empty Solver. Equivalent to new(Solver).
-func NewSolver() *Solver { return &Solver{} }
-
-// Stats returns the solve counters.
-func (sv *Solver) Stats() SolverStats { return sv.stats }
-
-// WarmStarted reports whether the most recent solve reused stored
-// dual potentials.
-func (sv *Solver) WarmStarted() bool { return sv.lastWarm }
-
-// MinCostPerfect solves one instance cold (duals reset to zero); see
-// the package-level MinCostPerfect for the contract.
-func (sv *Solver) MinCostPerfect(n int, cost func(i, j int) int64) (assign []int, total int64, ok bool) {
-	assign, total, ok, _ = sv.solve(nil, n, cost, false)
-	return assign, total, ok
-}
-
-// MinCostPerfectContext is the Solver's cold solve with cancellation;
-// see the package-level MinCostPerfectContext for the contract.
-func (sv *Solver) MinCostPerfectContext(ctx context.Context, n int, cost func(i, j int) int64) (assign []int, total int64, ok bool, err error) {
-	return sv.solve(ctx, n, cost, false)
-}
-
-// MinCostPerfectWarmContext solves the instance starting from the dual
-// potentials of the Solver's previous completed solve when they are
-// valid for it: same size and dual-feasible for the new costs
-// (cost(i,j) ≥ u[i]+v[j] everywhere, checked in O(n²)). Otherwise it
-// falls back to zero duals. Either way the returned matching is
-// exactly optimal — warm duals change the tie-breaking among equal-cost
-// optima, never the total cost.
-func (sv *Solver) MinCostPerfectWarmContext(ctx context.Context, n int, cost func(i, j int) int64) (assign []int, total int64, ok bool, err error) {
-	return sv.solve(ctx, n, cost, true)
-}
-
-// MinCostPerfect computes a minimum-cost perfect matching between n
-// "rows" (cells) and n "columns" (positions). cost(i,j) is the cost of
-// assigning row i to column j; return Forbidden to rule a pair out.
-//
-// It returns assign with assign[i] = column matched to row i and the
-// total cost. ok is false if no perfect matching avoiding Forbidden
-// pairs exists.
-func MinCostPerfect(n int, cost func(i, j int) int64) (assign []int, total int64, ok bool) {
-	var sv Solver
-	assign, total, ok, _ = sv.solve(nil, n, cost, false)
-	return assign, total, ok
-}
-
-// MinCostPerfectContext is MinCostPerfect with cancellation: ctx is
-// polled once per augmented row (each row is one O(n^2) shortest-path
-// phase, the natural preemption granularity), and a non-nil err —
-// always ctx.Err() — means the solve was abandoned, not that no
-// matching exists.
-func MinCostPerfectContext(ctx context.Context, n int, cost func(i, j int) int64) (assign []int, total int64, ok bool, err error) {
-	var sv Solver
-	return sv.solve(ctx, n, cost, false)
-}
-
-// MinCostPerfectMatrix is MinCostPerfect over an explicit cost matrix.
-func MinCostPerfectMatrix(cost [][]int64) (assign []int, total int64, ok bool) {
-	n := len(cost)
-	return MinCostPerfect(n, func(i, j int) int64 { return cost[i][j] })
 }
 
 // grow sizes the scratch arrays for an n-row instance, reallocating
@@ -147,51 +67,32 @@ func (sv *Solver) grow(n int) {
 	}
 }
 
-// dualsFeasible reports whether the stored potentials satisfy
-// cost(i,j) - u[i] - v[j] >= 0 for every pair — the invariant the
-// augmenting phases rely on when starting from nonzero duals.
-func (sv *Solver) dualsFeasible(n int, cost func(i, j int) int64) bool {
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			if cost(i-1, j-1)-sv.u[i]-sv.v[j] < 0 { //mclegal:writeset cost is a caller-supplied pure pricing closure; it receives indices by value and no resident state
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (sv *Solver) solve(ctx context.Context, n int, cost func(i, j int) int64, warm bool) (assign []int, total int64, ok bool, err error) {
+// Solve computes a minimum-cost perfect matching between n "rows"
+// (cells) and n "columns" (positions). cost(i,j) is the cost of
+// assigning row i to column j; return Forbidden to rule a pair out.
+//
+// It returns assign with assign[i] = column matched to row i and the
+// total cost. ok is false if no perfect matching avoiding Forbidden
+// pairs exists. ctx is polled once per augmented row (each row is one
+// O(n^2) shortest-path phase, the natural preemption granularity), and
+// a non-nil err — always ctx.Err() — means the solve was abandoned,
+// not that no matching exists.
+func (sv *Solver) Solve(ctx context.Context, n int, cost func(i, j int) int64) (assign []int, total int64, ok bool, err error) {
 	if n == 0 {
 		return nil, 0, true, nil
 	}
 	sv.grow(n)
-	warmOK := warm && sv.warmValid && sv.lastN == n && sv.dualsFeasible(n, cost)
-	if warm {
-		if warmOK {
-			sv.stats.WarmHits++
-		} else {
-			sv.stats.WarmMisses++
-		}
-	}
-	sv.lastWarm = warmOK
-	sv.lastN = n
-	sv.warmValid = false // until this solve completes
-	if !warmOK {
-		for j := range sv.u {
-			sv.u[j] = 0
-			sv.v[j] = 0
-		}
+	for j := range sv.u {
+		sv.u[j] = 0
+		sv.v[j] = 0
 	}
 	for j := range sv.p {
 		sv.p[j] = 0
 		sv.way[j] = 0
 	}
 	for i := 1; i <= n; i++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, 0, false, cerr
-			}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, 0, false, cerr
 		}
 		sv.minv[0] = 0
 		for j := 1; j <= n; j++ {
@@ -212,8 +113,6 @@ func (sv *Solver) solve(ctx context.Context, n int, cost func(i, j int) int64, w
 		}
 		total += c
 	}
-	sv.stats.Solves++
-	sv.warmValid = true
 	return sv.assign[:n:n], total, true, nil
 }
 

@@ -1,11 +1,25 @@
 package matching
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"mclegal/internal/mcf"
 )
+
+// solve runs Solve on a fresh Solver. A background context is never
+// done, so Solve's error is always nil here.
+func solve(n int, cost func(i, j int) int64) (assign []int, total int64, ok bool) {
+	var sv Solver
+	assign, total, ok, _ = sv.Solve(context.Background(), n, cost)
+	return assign, total, ok
+}
+
+// solveMatrix is solve over an explicit cost matrix.
+func solveMatrix(cost [][]int64) (assign []int, total int64, ok bool) {
+	return solve(len(cost), func(i, j int) int64 { return cost[i][j] })
+}
 
 // bruteForce enumerates all permutations (n <= 8) for the exact
 // optimum, skipping Forbidden pairs.
@@ -49,7 +63,7 @@ func TestTinyKnown(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	assign, total, ok := MinCostPerfectMatrix(cost)
+	assign, total, ok := solveMatrix(cost)
 	if !ok {
 		t.Fatal("no matching found")
 	}
@@ -68,7 +82,7 @@ func TestTinyKnown(t *testing.T) {
 func TestIdentityOptimal(t *testing.T) {
 	// Zero diagonal, positive elsewhere: identity must win.
 	n := 6
-	assign, total, ok := MinCostPerfect(n, func(i, j int) int64 {
+	assign, total, ok := solve(n, func(i, j int) int64 {
 		if i == j {
 			return 0
 		}
@@ -85,14 +99,14 @@ func TestIdentityOptimal(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	assign, total, ok := MinCostPerfect(0, nil)
+	assign, total, ok := solve(0, nil)
 	if !ok || total != 0 || assign != nil {
 		t.Errorf("empty case: %v %d %v", assign, total, ok)
 	}
 }
 
 func TestSingle(t *testing.T) {
-	assign, total, ok := MinCostPerfect(1, func(i, j int) int64 { return 7 })
+	assign, total, ok := solve(1, func(i, j int) int64 { return 7 })
 	if !ok || total != 7 || assign[0] != 0 {
 		t.Errorf("single case wrong: %v %d %v", assign, total, ok)
 	}
@@ -103,7 +117,7 @@ func TestForbiddenForcesAlternative(t *testing.T) {
 		{Forbidden, 1},
 		{1, 100},
 	}
-	assign, total, ok := MinCostPerfectMatrix(cost)
+	assign, total, ok := solveMatrix(cost)
 	if !ok {
 		t.Fatal("matching should exist")
 	}
@@ -117,7 +131,7 @@ func TestInfeasibleAllForbidden(t *testing.T) {
 		{Forbidden, Forbidden},
 		{1, 2},
 	}
-	if _, _, ok := MinCostPerfectMatrix(cost); ok {
+	if _, _, ok := solveMatrix(cost); ok {
 		t.Errorf("infeasible instance reported ok")
 	}
 }
@@ -138,7 +152,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want, feasible := bruteForce(cost)
-		assign, got, ok := MinCostPerfectMatrix(cost)
+		assign, got, ok := solveMatrix(cost)
 		if ok != feasible {
 			t.Fatalf("trial %d: ok=%v feasible=%v", trial, ok, feasible)
 		}
@@ -175,7 +189,7 @@ func TestRandomAgainstMCF(t *testing.T) {
 				cost[i][j] = int64(rng.Intn(1000))
 			}
 		}
-		_, got, ok := MinCostPerfectMatrix(cost)
+		_, got, ok := solveMatrix(cost)
 		if !ok {
 			t.Fatalf("trial %d infeasible", trial)
 		}
@@ -188,7 +202,7 @@ func TestRandomAgainstMCF(t *testing.T) {
 				g.AddArc(i, n+j, 1, cost[i][j])
 			}
 		}
-		res, err := g.Solve()
+		res, err := mcf.NewSolver().Solve(context.Background(), g)
 		if err != nil {
 			t.Fatalf("trial %d mcf: %v", trial, err)
 		}
@@ -203,7 +217,7 @@ func TestNegativeCosts(t *testing.T) {
 		{-5, 0},
 		{0, -5},
 	}
-	_, total, ok := MinCostPerfectMatrix(cost)
+	_, total, ok := solveMatrix(cost)
 	if !ok || total != -10 {
 		t.Errorf("negative costs: total=%d ok=%v", total, ok)
 	}
@@ -221,7 +235,7 @@ func BenchmarkMatching200(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := MinCostPerfectMatrix(cost); !ok {
+		if _, _, ok := solveMatrix(cost); !ok {
 			b.Fatal("infeasible")
 		}
 	}

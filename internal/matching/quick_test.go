@@ -18,7 +18,7 @@ func TestQuickPermutationInvariance(t *testing.T) {
 				cost[i][j] = int64(rng.Intn(100))
 			}
 		}
-		_, base, ok := MinCostPerfectMatrix(cost)
+		_, base, ok := solveMatrix(cost)
 		if !ok {
 			return false
 		}
@@ -32,7 +32,7 @@ func TestQuickPermutationInvariance(t *testing.T) {
 				shuffled[i][j] = cost[rp[i]][cp[j]]
 			}
 		}
-		_, got, ok := MinCostPerfectMatrix(shuffled)
+		_, got, ok := solveMatrix(shuffled)
 		return ok && got == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -54,7 +54,7 @@ func TestQuickRowConstantShift(t *testing.T) {
 				cost[i][j] = int64(rng.Intn(100))
 			}
 		}
-		_, base, ok := MinCostPerfectMatrix(cost)
+		_, base, ok := solveMatrix(cost)
 		if !ok {
 			return false
 		}
@@ -62,7 +62,7 @@ func TestQuickRowConstantShift(t *testing.T) {
 		for j := range cost[row] {
 			cost[row][j] += delta
 		}
-		_, got, ok := MinCostPerfectMatrix(cost)
+		_, got, ok := solveMatrix(cost)
 		return ok && got == base+delta
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -90,7 +90,7 @@ func TestQuickOptimumBounds(t *testing.T) {
 			diag += cost[i][i]
 			rowMin += m
 		}
-		_, got, ok := MinCostPerfectMatrix(cost)
+		_, got, ok := solveMatrix(cost)
 		return ok && got <= diag && got >= rowMin
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -19,9 +19,9 @@ func randomMatrix(rng *rand.Rand, n int) [][]int64 {
 	return m
 }
 
-// A reused Solver solving cold must match the package-level functions
-// byte-for-byte across a randomized sequence of instance sizes.
-func TestSolverColdMatchesPackageFunctions(t *testing.T) {
+// A reused Solver must match a fresh Solver byte-for-byte across a
+// randomized sequence of instance sizes, including infeasible ones.
+func TestSolverReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var sv Solver
 	for it := 0; it < 50; it++ {
@@ -34,19 +34,16 @@ func TestSolverColdMatchesPackageFunctions(t *testing.T) {
 			}
 		}
 		cost := func(i, j int) int64 { return m[i][j] }
-		wantA, wantT, wantOK := MinCostPerfect(n, cost)
-		gotA, gotT, gotOK := sv.MinCostPerfect(n, cost)
-		if wantOK != gotOK || wantT != gotT || !slices.Equal(wantA, gotA) {
-			t.Fatalf("it %d (n=%d): solver (%v,%d,%v) != package (%v,%d,%v)",
-				it, n, gotA, gotT, gotOK, wantA, wantT, wantOK)
+		wantA, wantT, wantOK := solve(n, cost)
+		gotA, gotT, gotOK, err := sv.Solve(context.Background(), n, cost)
+		if err != nil || wantOK != gotOK || wantT != gotT || !slices.Equal(wantA, gotA) {
+			t.Fatalf("it %d (n=%d): reused (%v,%d,%v,%v) != fresh (%v,%d,%v)",
+				it, n, gotA, gotT, gotOK, err, wantA, wantT, wantOK)
 		}
-	}
-	if sv.Stats().WarmHits != 0 || sv.Stats().WarmMisses != 0 {
-		t.Errorf("cold solves counted warm attempts: %+v", sv.Stats())
 	}
 }
 
-// Property: Solver reuse (cold) is byte-identical to fresh solves for
+// Property: Solver reuse is byte-identical to fresh solves for
 // arbitrary matrices.
 func TestQuickSolverReuseByteIdentical(t *testing.T) {
 	var sv Solver
@@ -55,108 +52,32 @@ func TestQuickSolverReuseByteIdentical(t *testing.T) {
 		n := int(nRaw%16) + 1
 		m := randomMatrix(rng, n)
 		cost := func(i, j int) int64 { return m[i][j] }
-		wantA, wantT, wantOK := MinCostPerfect(n, cost)
-		gotA, gotT, gotOK := sv.MinCostPerfect(n, cost)
-		return wantOK == gotOK && wantT == gotT && slices.Equal(wantA, gotA)
+		wantA, wantT, wantOK := solve(n, cost)
+		gotA, gotT, gotOK, err := sv.Solve(context.Background(), n, cost)
+		return err == nil && wantOK == gotOK && wantT == gotT && slices.Equal(wantA, gotA)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Warm starts reuse the stored duals when they are feasible for the
-// new costs and always return an exactly optimal total.
-func TestWarmDualsExactAndCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 20
-	m := randomMatrix(rng, n)
-	cost := func(i, j int) int64 { return m[i][j] }
-	var sv Solver
-	ctx := context.Background()
-
-	// First warm attempt has nothing stored: a miss, still optimal.
-	_, t0, ok, err := sv.MinCostPerfectWarmContext(ctx, n, cost)
-	if err != nil || !ok {
-		t.Fatal(err, ok)
-	}
-	if sv.WarmStarted() || sv.Stats().WarmMisses != 1 {
-		t.Fatalf("first solve: warmStarted=%v stats=%+v", sv.WarmStarted(), sv.Stats())
-	}
-	// Same instance again: duals are tight-feasible, must hit.
-	_, t1, ok, err := sv.MinCostPerfectWarmContext(ctx, n, cost)
-	if err != nil || !ok || t1 != t0 {
-		t.Fatalf("re-solve: total %d vs %d (ok=%v err=%v)", t1, t0, ok, err)
-	}
-	if !sv.WarmStarted() || sv.Stats().WarmHits != 1 {
-		t.Fatalf("re-solve: warmStarted=%v stats=%+v", sv.WarmStarted(), sv.Stats())
-	}
-	// Costs nudged upward keep the stored duals feasible: another hit,
-	// and the total must equal the cold optimum.
-	for k := 0; k < n; k++ {
-		m[rng.Intn(n)][rng.Intn(n)] += int64(rng.Intn(50))
-	}
-	_, warmT, ok, err := sv.MinCostPerfectWarmContext(ctx, n, cost)
-	if err != nil || !ok {
-		t.Fatal(err, ok)
-	}
-	if !sv.WarmStarted() {
-		t.Error("upward-perturbed costs should keep duals feasible (warm hit)")
-	}
-	_, coldT, okC := MinCostPerfect(n, cost)
-	if !okC || warmT != coldT {
-		t.Fatalf("warm total %d != cold total %d", warmT, coldT)
-	}
-	// A different size cannot reuse duals: a miss.
-	m2 := randomMatrix(rng, n+3)
-	_, _, ok, err = sv.MinCostPerfectWarmContext(ctx, n+3, func(i, j int) int64 { return m2[i][j] })
-	if err != nil || !ok || sv.WarmStarted() {
-		t.Fatalf("size change: warmStarted=%v ok=%v err=%v", sv.WarmStarted(), ok, err)
-	}
-}
-
-// Property: warm-started totals equal cold totals for arbitrary
-// instance sequences (hit or miss, the optimum is the optimum).
-func TestQuickWarmDualsOptimal(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%12) + 2
-		var sv Solver
-		for it := 0; it < 4; it++ {
-			m := randomMatrix(rng, n)
-			cost := func(i, j int) int64 { return m[i][j] }
-			_, warmT, okW, err := sv.MinCostPerfectWarmContext(context.Background(), n, cost)
-			if err != nil {
-				return false
-			}
-			_, coldT, okC := MinCostPerfect(n, cost)
-			if okW != okC || (okW && warmT != coldT) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // A reused Solver performs zero heap allocations per solve once its
-// arrays fit the instance size — the per-row minv/used allocations of
-// the pre-Solver code are gone. This is the dynamic witness the static
-// noalloc proof (root: (*Solver).augmentRow) is pinned to by
-// analysis.TestHotPathRootsMatchDynamicProof.
+// arrays fit the instance size. This is the dynamic witness the static
+// noalloc proof (root: (*Solver).augmentRow, under (*Solver).Solve) is
+// pinned to by analysis.TestHotPathRootsMatchDynamicProof.
 func TestSolverReuseZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 64
 	m := randomMatrix(rng, n)
 	cost := func(i, j int) int64 { return m[i][j] }
+	ctx := context.Background()
 	var sv Solver
-	if _, _, ok := sv.MinCostPerfect(n, cost); !ok {
-		t.Fatal("warm-up solve failed")
+	if _, _, ok, err := sv.Solve(ctx, n, cost); !ok || err != nil {
+		t.Fatalf("warm-up solve failed: ok=%v err=%v", ok, err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, ok := sv.MinCostPerfect(n, cost); !ok {
-			t.Fatal("solve failed")
+		if _, _, ok, err := sv.Solve(ctx, n, cost); !ok || err != nil {
+			t.Fatalf("solve failed: ok=%v err=%v", ok, err)
 		}
 	})
 	if allocs != 0 {

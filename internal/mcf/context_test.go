@@ -22,26 +22,27 @@ func transportGraph() *Graph {
 func TestSolveContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := transportGraph().SolveContext(ctx)
+	_, err := NewSolver().Solve(ctx, transportGraph())
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveContext on cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("Solve on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSolveContextClean(t *testing.T) {
-	res, err := transportGraph().SolveContext(context.Background())
+	sv := NewSolver()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := sv.Solve(ctx, transportGraph())
 	if err != nil {
-		t.Fatalf("SolveContext: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Cost != 26 {
 		t.Errorf("cost = %d, want 26", res.Cost)
 	}
-	// The ctx-less facade must agree: nil ctx only disables polling.
-	plain, err := transportGraph().Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if plain.Cost != res.Cost {
-		t.Errorf("Solve cost %d != SolveContext cost %d", plain.Cost, res.Cost)
+	// A live ctx only adds polling: the same Solver reaches the same
+	// optimum under a ctx that can never be cancelled.
+	again, err := sv.Solve(context.Background(), transportGraph())
+	if err != nil || again.Cost != 26 {
+		t.Errorf("re-solve: cost %v err %v, want 26", again, err)
 	}
 }

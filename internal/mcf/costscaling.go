@@ -9,6 +9,9 @@ package mcf
 // optimal integer flow. Node prices are refined per phase; push and
 // relabel operate on admissible residual arcs (reduced cost < 0).
 func (g *Graph) SolveCostScaling() (*Result, error) {
+	if g.err != nil {
+		return nil, g.err
+	}
 	n := len(g.supply)
 	m := len(g.arcs)
 	var sum int64

@@ -1,7 +1,10 @@
 // Package mcf implements an exact integer minimum-cost-flow solver: a
-// primal network simplex with the first-eligible pivot rule (the
-// configuration the paper uses through LEMON [20]), plus a slow
-// successive-shortest-path reference solver used for cross-checking.
+// primal network simplex behind one entrypoint, (*Solver).Solve, with
+// the first-eligible pivot rule (the configuration the paper uses
+// through LEMON [20]) on small instances and a candidate list on large
+// ones. A cost-scaling push-relabel solver and a slow
+// successive-shortest-path solver serve as independent references the
+// tests cross-check the simplex against.
 //
 // The solver handles arbitrary (also negative) arc costs, zero lower
 // bounds, finite capacities, and node supplies summing to zero. On

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,7 +16,7 @@ func TestQuickSimplexEqualsSSP(t *testing.T) {
 		n := int(nRaw%8) + 2
 		m := int(mRaw%20) + 1
 		g := randomGraph(rng, n, m, seed%2 == 0)
-		rs, errS := g.Solve()
+		rs, errS := solveOnce(g)
 		rp, errP := g.SolveSSP()
 		if (errS == nil) != (errP == nil) {
 			return false
@@ -40,7 +41,7 @@ func TestQuickCostScaling(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := int64(kRaw%7) + 1
 		g := randomGraph(rng, 6, 14, true)
-		r1, err1 := g.Solve()
+		r1, err1 := solveOnce(g)
 		g2 := NewGraph(g.NumNodes())
 		for v := 0; v < g.NumNodes(); v++ {
 			g2.SetSupply(v, g.supply[v])
@@ -49,7 +50,7 @@ func TestQuickCostScaling(t *testing.T) {
 			arc := g.Arc(a)
 			g2.AddArc(arc.From, arc.To, arc.Cap, arc.Cost*k)
 		}
-		r2, err2 := g2.Solve()
+		r2, err2 := solveOnce(g2)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -69,7 +70,7 @@ func TestQuickMirrorSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 6, 12, true)
-		r1, err1 := g.Solve()
+		r1, err1 := solveOnce(g)
 		g2 := NewGraph(g.NumNodes())
 		for v := 0; v < g.NumNodes(); v++ {
 			g2.SetSupply(v, -g.supply[v])
@@ -78,7 +79,7 @@ func TestQuickMirrorSymmetry(t *testing.T) {
 			arc := g.Arc(a)
 			g2.AddArc(arc.To, arc.From, arc.Cap, arc.Cost)
 		}
-		r2, err2 := g2.Solve()
+		r2, err2 := solveOnce(g2)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -100,7 +101,7 @@ func TestQuickCostScalingEqualsSimplex(t *testing.T) {
 		n := int(nRaw%8) + 2
 		m := int(mRaw%22) + 1
 		g := randomGraph(rng, n, m, seed%2 == 1)
-		rs, errS := g.Solve()
+		rs, errS := solveOnce(g)
 		rc, errC := g.SolveCostScaling()
 		if (errS == nil) != (errC == nil) {
 			return false
@@ -118,27 +119,27 @@ func TestQuickCostScalingEqualsSimplex(t *testing.T) {
 	}
 }
 
-// Property (a): all three pivot rules and all three solvers agree on
-// feasibility and optimal cost for arbitrary random instances, and
-// every simplex solution verifies.
+// Property: both production pivot rules and all three solvers agree
+// on feasibility and optimal cost for arbitrary random instances, and
+// every simplex solution verifies. The rules are forced through the
+// in-package hook: Solve alone would pick first-eligible on every
+// instance this small.
 func TestQuickAllRulesAllSolversAgree(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%8) + 2
 		m := int(mRaw%24) + 1
 		g := randomGraph(rng, n, m, seed%2 == 0)
-		rs, errS := g.SolveWith(FirstEligible)
-		for _, rule := range []PivotRule{BlockSearch, CandidateList} {
-			r, err := g.SolveWith(rule)
-			if (errS == nil) != (err == nil) {
-				return false
-			}
-			if errS != nil {
-				continue
-			}
-			if r.Cost != rs.Cost || g.VerifyOptimal(r) != nil {
-				return false
-			}
+		rs, errS := solveRule(g, firstEligible)
+		if errS == nil && g.VerifyOptimal(rs) != nil {
+			return false
+		}
+		r, err := solveRule(g, candidateList)
+		if (errS == nil) != (err == nil) {
+			return false
+		}
+		if errS == nil && (r.Cost != rs.Cost || g.VerifyOptimal(r) != nil) {
+			return false
 		}
 		rp, errP := g.SolveSSP()
 		rc, errC := g.SolveCostScaling()
@@ -155,50 +156,11 @@ func TestQuickAllRulesAllSolversAgree(t *testing.T) {
 	}
 }
 
-// Property (b): Resolve after arbitrary random cost/capacity
-// perturbations equals a cold Solve on the perturbed graph exactly
-// (optimal cost and a verified certificate).
-func TestQuickResolveEqualsCold(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%8) + 2
-		m := int(mRaw%24) + 1
-		g := randomGraph(rng, n, m, true)
-		sv := NewSolver()
-		if _, err := sv.SolveWith(g, FirstEligible); err != nil {
-			return true // infeasible base: nothing to resolve from
-		}
-		var ups []ArcUpdate
-		for a := 0; a < g.NumArcs(); a++ {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			arc := g.Arc(a)
-			ncap := arc.Cap + int64(rng.Intn(9)-4)
-			if ncap < 0 {
-				ncap = 0
-			}
-			ups = append(ups, ArcUpdate{Arc: a, Cost: arc.Cost + int64(rng.Intn(13)-6), Cap: ncap})
-		}
-		pg := ApplyUpdates(g, ups)
-		warm, werr := sv.Resolve(ups)
-		cold, cerr := pg.Solve()
-		if (werr == nil) != (cerr == nil) {
-			return false
-		}
-		if werr != nil {
-			return true
-		}
-		return warm.Cost == cold.Cost && pg.VerifyOptimal(warm) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property (c): a Solver reused across a randomized instance sequence
-// matches fresh-solver results byte-for-byte at every step.
+// Property: a Solver reused across a randomized instance sequence
+// matches fresh-solver results byte-for-byte at every step, under
+// both pivot rules.
 func TestQuickSolverReuseByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		reused := NewSolver()
@@ -207,9 +169,8 @@ func TestQuickSolverReuseByteIdentical(t *testing.T) {
 			m := 1 + rng.Intn(30)
 			g := randomGraph(rng, n, m, it%2 == 0)
 			rule := allRules[it%len(allRules)]
-			var fresh Solver
-			fr, ferr := fresh.SolveWith(g, rule)
-			rr, rerr := reused.SolveWith(g, rule)
+			fr, ferr := NewSolver().solve(ctx, g, rule)
+			rr, rerr := reused.solve(ctx, g, rule)
 			if (ferr == nil) != (rerr == nil) {
 				return false
 			}

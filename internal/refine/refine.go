@@ -52,15 +52,11 @@ type Options struct {
 	// faults.RefineInfeasible point reports min-cost-flow
 	// infeasibility instead of solving. Nil disables injection.
 	Faults *faults.Injector
-	// Rule selects the simplex pivot rule. The zero value is mcf.Auto,
-	// which picks FirstEligible (the paper's rule) or CandidateList by
-	// instance size — deterministic, since the network is a function of
-	// the design.
-	Rule mcf.PivotRule
-	// Solver, when non-nil, is reused across calls: scratch arrays are
-	// kept and a same-shape network (e.g. the ECO loop re-refining the
-	// same cells) warm-starts from the previous optimal basis. Nil
-	// solves with a private solver.
+	// Solver, when non-nil, is the simplex solver the refinement runs
+	// on; a caller that refines repeatedly can pass one Solver to keep
+	// its scratch arrays. Every solve starts cold, so the result does
+	// not depend on what the Solver solved before. Nil solves with a
+	// private solver.
 	Solver *mcf.Solver
 }
 
@@ -75,12 +71,6 @@ type Report struct {
 	Edges int
 	// Moved is the number of cells whose x changed.
 	Moved int
-	// Rule is the concrete pivot rule of the solve (Auto resolved).
-	// Across a sharded run it is the last shard's rule.
-	Rule mcf.PivotRule
-	// WarmHits and WarmMisses count solves that warm-started from a
-	// reused solver basis vs solved cold; sharded runs sum them.
-	WarmHits, WarmMisses int
 	// SolveNs is wall-clock nanoseconds inside the simplex solve
 	// (observability only — never feeds back into placement).
 	SolveNs int64
@@ -295,19 +285,13 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 	}
 	//mclegal:wallclock solve timing feeds Report.SolveNs (observability), never placement
 	solveStart := time.Now()
-	res, warm, err := sv.SolveGraphContext(ctx, g, opt.Rule)
+	res, err := sv.Solve(ctx, g)
 	//mclegal:wallclock solve timing feeds Report.SolveNs (observability), never placement
 	rep.SolveNs = time.Since(solveStart).Nanoseconds()
 	if err != nil {
 		return rep, fmt.Errorf("refine: %w", err)
 	}
 	rep.Pivots = res.Pivots
-	rep.Rule = sv.Stats().LastRule
-	if warm {
-		rep.WarmHits++
-	} else {
-		rep.WarmMisses++
-	}
 
 	// Node potentials are the legal x-coordinates.
 	piz := res.Pi[z]

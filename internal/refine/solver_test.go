@@ -6,43 +6,51 @@ import (
 	"testing"
 
 	"mclegal/internal/mcf"
+	"mclegal/internal/model"
 )
 
-// The report must describe the solver's behaviour: the concrete pivot
-// rule, one warm/cold counter per solve, and a solve-time figure.
+// The report must describe the solve: the network size, the pivot
+// count, and a solve-time figure.
 func TestReportSolverCounters(t *testing.T) {
 	d := newDesign(60, 2)
 	place(d, 0, 5, 0, 10, 0)
 	place(d, 0, 20, 0, 25, 0)
 	place(d, 0, 40, 1, 44, 1)
 	rep := optimize(t, d, Options{Weights: WeightUniform})
-	if rep.Rule != mcf.FirstEligible {
-		t.Errorf("rule = %v, want FirstEligible (small instance under Auto)", rep.Rule)
+	if rep.Nodes != 4 || rep.Arcs < 12 {
+		t.Errorf("network = %d nodes / %d arcs, want 4 nodes and at least 12 arcs", rep.Nodes, rep.Arcs)
 	}
-	if rep.WarmHits != 0 || rep.WarmMisses != 1 {
-		t.Errorf("warm counters = %d/%d, want 0 hits / 1 miss on a private solver", rep.WarmHits, rep.WarmMisses)
+	if rep.Pivots <= 0 {
+		t.Errorf("pivots = %d, want > 0: every cell starts off its GP", rep.Pivots)
+	}
+	if rep.Moved != 3 {
+		t.Errorf("moved = %d, want 3", rep.Moved)
 	}
 	if rep.SolveNs < 0 {
 		t.Errorf("SolveNs = %d, want >= 0", rep.SolveNs)
 	}
 }
 
-// A caller-provided Solver is reused across refinement runs: the
-// second run on the same design has the same network shape and must
-// warm-start; since the first run already reached the optimum, the
-// warm run makes no moves.
+// A caller-provided Solver is reused across refinement runs. Every
+// solve starts cold, so the second run on the already-refined design
+// makes no moves, and a run on a reused Solver places exactly like a
+// run on a private one.
 func TestSolverReuseAcrossRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := newDesign(300, 4)
-	x := 0
-	for i := 0; i < 40; i++ {
-		w := 2 // type 0 width
-		x += w + rng.Intn(4)
-		if x+w >= 300 {
-			break
+	build := func() *model.Design {
+		rng := rand.New(rand.NewSource(3))
+		d := newDesign(300, 4)
+		x := 0
+		for i := 0; i < 40; i++ {
+			w := 2 // type 0 width
+			x += w + rng.Intn(4)
+			if x+w >= 300 {
+				break
+			}
+			place(d, 0, x-rng.Intn(5), i%4, x, i%4)
 		}
-		place(d, 0, x-rng.Intn(5), i%4, x, i%4)
+		return d
 	}
+	d := build()
 	grid := mustGrid(t, d)
 	sv := mcf.NewSolver()
 	opt := Options{Weights: WeightUniform, Solver: sv}
@@ -50,41 +58,24 @@ func TestSolverReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.WarmMisses != 1 || rep1.WarmHits != 0 {
-		t.Fatalf("first run counters = %+v, want a single cold solve", rep1)
+	if rep1.Moved == 0 {
+		t.Fatal("first run moved nothing; the instance does not exercise the solver")
 	}
 	rep2, err := OptimizeContext(context.Background(), d, grid, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.WarmHits != 1 || rep2.WarmMisses != 0 {
-		t.Fatalf("second run counters = %+v, want a single warm solve", rep2)
-	}
 	if rep2.Moved != 0 {
 		t.Errorf("second run moved %d cells; the first run's optimum should be stable", rep2.Moved)
 	}
-	st := sv.Stats()
-	if st.ColdSolves != 1 || st.WarmSolves != 1 {
-		t.Errorf("solver stats = %+v, want 1 cold / 1 warm", st)
-	}
-}
 
-// An explicit pivot rule is honored and reported; every rule reaches
-// the same optimal objective (positions may differ among ties, the
-// audit in optimize covers legality).
-func TestExplicitPivotRules(t *testing.T) {
-	for _, rule := range []mcf.PivotRule{mcf.FirstEligible, mcf.BlockSearch, mcf.CandidateList} {
-		d := newDesign(80, 2)
-		place(d, 0, 5, 0, 10, 0)
-		place(d, 0, 20, 0, 25, 0)
-		place(d, 0, 50, 1, 41, 1)
-		rep := optimize(t, d, Options{Weights: WeightUniform, Rule: rule})
-		if rep.Rule != rule {
-			t.Errorf("rule %v: report says %v", rule, rep.Rule)
-		}
-		if d.Cells[0].X != 5 || d.Cells[1].X != 20 || d.Cells[2].X != 50 {
-			t.Errorf("rule %v: cells not at GP: %d,%d,%d", rule,
-				d.Cells[0].X, d.Cells[1].X, d.Cells[2].X)
+	fresh := build()
+	if _, err := OptimizeContext(context.Background(), fresh, mustGrid(t, fresh), Options{Weights: WeightUniform}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Cells {
+		if d.Cells[i].X != fresh.Cells[i].X {
+			t.Fatalf("cell %d: reused-solver x %d, private-solver x %d", i, d.Cells[i].X, fresh.Cells[i].X)
 		}
 	}
 }
