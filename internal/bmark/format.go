@@ -73,69 +73,83 @@ func Write(w io.Writer, d *model.Design) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	p := func(format string, args ...any) { fmt.Fprintf(bw, format, args...) }
+	var buf []byte
+	// line writes key, then name unless it is empty (names never are,
+	// see writableName), then vals, separated by single spaces. It
+	// appends to one reused buffer with strconv.AppendInt because fmt
+	// would box every integer, and formatting is most of Write's time.
+	line := func(key, name string, vals ...int) {
+		b := append(buf[:0], key...)
+		if name != "" {
+			b = append(b, ' ')
+			b = append(b, name...)
+		}
+		for _, v := range vals {
+			if len(b) > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, '\n')
+		buf = b
+		_, _ = bw.Write(b) // the error sticks in bw; Flush reports it
+	}
 	t := &d.Tech
-	p("%s\n", formatMagic)
-	p("name %s\n", d.Name)
+	line(formatMagic, "")
+	line("name", d.Name)
 	flip := 0
 	if t.FlipOddRows {
 		flip = 1
 	}
-	p("tech %d %d %d %d %d %d\n", t.SiteW, t.RowH, t.NumSites, t.NumRows, t.EvenBottomParity, flip)
-	p("rails %d %d %d %d %d %d %d\n", t.HRailLayer, t.HRailHalfW, t.HRailPeriod,
+	line("tech", "", t.SiteW, t.RowH, t.NumSites, t.NumRows, t.EvenBottomParity, flip)
+	line("rails", "", t.HRailLayer, t.HRailHalfW, t.HRailPeriod,
 		t.VRailLayer, t.VRailPitch, t.VRailW, t.VRailOffset)
-	p("spacing %d\n", len(t.EdgeSpacing))
+	line("spacing", "", len(t.EdgeSpacing))
 	for _, row := range t.EdgeSpacing {
-		for i, v := range row {
-			if i > 0 {
-				p(" ")
-			}
-			p("%d", v)
-		}
-		p("\n")
+		line("", "", row...)
 	}
-	p("types %d\n", len(d.Types))
+	line("types", "", len(d.Types))
 	for i := range d.Types {
 		ct := &d.Types[i]
-		p("type %s %d %d %d %d %d\n", ct.Name, ct.Width, ct.Height, ct.EdgeL, ct.EdgeR, len(ct.Pins))
+		line("type", ct.Name, ct.Width, ct.Height, int(ct.EdgeL), int(ct.EdgeR), len(ct.Pins))
 		for _, pin := range ct.Pins {
-			p("pin %s %d %d %d %d %d\n", pin.Name, pin.Layer,
+			line("pin", pin.Name, pin.Layer,
 				pin.Box.XLo, pin.Box.YLo, pin.Box.XHi, pin.Box.YHi)
 		}
 	}
-	p("fences %d\n", len(d.Fences))
+	line("fences", "", len(d.Fences))
 	for i := range d.Fences {
 		f := &d.Fences[i]
-		p("fence %s %d\n", f.Name, len(f.Rects))
+		line("fence", f.Name, len(f.Rects))
 		for _, r := range f.Rects {
-			p("rect %d %d %d %d\n", r.XLo, r.YLo, r.XHi, r.YHi)
+			line("rect", "", r.XLo, r.YLo, r.XHi, r.YHi)
 		}
 	}
-	p("blockages %d\n", len(d.Blockages))
+	line("blockages", "", len(d.Blockages))
 	for _, r := range d.Blockages {
-		p("rect %d %d %d %d\n", r.XLo, r.YLo, r.XHi, r.YHi)
+		line("rect", "", r.XLo, r.YLo, r.XHi, r.YHi)
 	}
-	p("iopins %d\n", len(d.IOPins))
+	line("iopins", "", len(d.IOPins))
 	for i := range d.IOPins {
 		io := &d.IOPins[i]
-		p("io %s %d %d %d %d %d\n", io.Name, io.Layer,
+		line("io", io.Name, io.Layer,
 			io.Box.XLo, io.Box.YLo, io.Box.XHi, io.Box.YHi)
 	}
-	p("cells %d\n", len(d.Cells))
+	line("cells", "", len(d.Cells))
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		fx := 0
 		if c.Fixed {
 			fx = 1
 		}
-		p("cell %s %d %d %d %d %d %d %d\n", c.Name, c.Type, c.Fence, c.GX, c.GY, c.X, c.Y, fx)
+		line("cell", c.Name, int(c.Type), int(c.Fence), c.GX, c.GY, c.X, c.Y, fx)
 	}
-	p("nets %d\n", len(d.Nets))
+	line("nets", "", len(d.Nets))
 	for i := range d.Nets {
 		n := &d.Nets[i]
-		p("net %s %d\n", n.Name, len(n.Pins))
+		line("net", n.Name, len(n.Pins))
 		for _, pin := range n.Pins {
-			p("pinref %d %d %d\n", pin.Cell, pin.DX, pin.DY)
+			line("pinref", "", int(pin.Cell), pin.DX, pin.DY)
 		}
 	}
 	return bw.Flush()

@@ -8,8 +8,9 @@ import (
 
 // FuzzRead drives the .mcl parser with arbitrary bytes. Invariants:
 // Read never panics or hangs; every error is prefixed "bmark:"; any
-// input strict Read accepts is writable, re-readable, and write-stable;
-// and lenient mode accepts everything strict mode accepts.
+// input strict Read accepts is writable, re-readable, and write-stable,
+// and Write renders it exactly as the fmt oracle does; and lenient mode
+// accepts everything strict mode accepts.
 func FuzzRead(f *testing.F) {
 	for _, p := range []Params{
 		{Name: "seed1", Seed: 1, Counts: [4]int{20, 4, 1, 1}, Density: 0.5,
@@ -41,6 +42,7 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&buf, d); err != nil {
 			t.Fatalf("accepted design not writable: %v", err)
 		}
+		checkWriteMatchesOracle(t, d)
 		d2, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("rewritten design rejected: %v", err)

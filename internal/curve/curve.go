@@ -80,9 +80,15 @@ type breakpoint struct {
 
 // Curve is a piecewise-linear function of an integer coordinate. The
 // zero value is the constant 0 function.
+//
+// A curve built by ResetAbs is exact on its range [xref, hi] only: the
+// accumulators fold the breakpoints at or left of xref into slope0 and
+// drop those right of hi, so the sort and the MinOn sweep see only the
+// breakpoints that can matter there.
 type Curve struct {
 	vref   int64 // value at xref
 	xref   int64
+	hi     int64 // right end of a ResetAbs range
 	slope0 int64 // slope left of every breakpoint
 	breaks []breakpoint
 	sorted bool
@@ -166,22 +172,36 @@ func PushLeft(cur, g, off, w int64) *Curve {
 	return c
 }
 
-// ResetAbs reinitializes c in place to f(x) = w*|x-g| + k, reusing the
-// breakpoint storage. It is the allocation-free form of Abs, used by the
-// legalizer's hot path to rebuild the summed curve for every insertion
-// point without heap traffic.
+// ResetAbs reinitializes c in place to f(x) = w*|x-g| + k on the range
+// [lo, hi], reusing the breakpoint storage. It is the allocation-free
+// form of Abs, used by the legalizer's hot path to rebuild the summed
+// curve for every insertion point without heap traffic. The curve is
+// exact on [lo, hi] only (see Curve); lo <= hi.
 //
 //mclegal:hotpath rebuilds the summed curve once per insertion point; only appends into caller-owned breakpoint storage
-func (c *Curve) ResetAbs(g, w, k int64) {
-	c.vref, c.xref, c.slope0 = k, g, -w
-	c.breaks = append(c.breaks[:0], breakpoint{x: g, ds: 2 * w})
+func (c *Curve) ResetAbs(g, w, k, lo, hi int64) {
+	c.vref, c.xref, c.hi, c.slope0 = k+w*abs64(lo-g), lo, hi, -w
+	c.breaks = c.breaks[:0]
 	c.sorted = true
+	c.addBreak(g, 2*w)
 }
 
-// AddPushRight accumulates PushRight(cur, g, off, w) into c without
-// allocating the intermediate curve: the contribution at c.xref is
-// evaluated in closed form (w*|max(cur, xref+off) - g|) and the
-// breakpoints are appended to c's own storage.
+// addBreak records a slope change of ds at x on a ResetAbs range: at or
+// left of xref it joins the start slope, right of hi it is dropped.
+func (c *Curve) addBreak(x, ds int64) {
+	switch {
+	case x <= c.xref:
+		c.slope0 += ds
+	case x <= c.hi:
+		c.breaks = append(c.breaks, breakpoint{x: x, ds: ds})
+		c.sorted = false
+	}
+}
+
+// AddPushRight accumulates PushRight(cur, g, off, w) into c, a curve
+// built by ResetAbs, without allocating the intermediate curve: the
+// contribution at c.xref is evaluated in closed form (w*|max(cur,
+// xref+off) - g|) and the breakpoints go through addBreak.
 //
 //mclegal:hotpath curve accumulation runs once per chain cell per insertion point; appends only into c's own storage
 func (c *Curve) AddPushRight(cur, g, off, w int64) {
@@ -192,15 +212,13 @@ func (c *Curve) AddPushRight(cur, g, off, w int64) {
 	c.vref += w * abs64(p-g)
 	switch RightKind(cur, g) {
 	case KindA:
-		c.breaks = append(c.breaks, breakpoint{x: cur - off, ds: w})
+		c.addBreak(cur-off, w)
 	case KindC:
-		c.breaks = append(c.breaks,
-			breakpoint{x: cur - off, ds: -w},
-			breakpoint{x: g - off, ds: 2 * w})
+		c.addBreak(cur-off, -w)
+		c.addBreak(g-off, 2*w)
 	case KindB, KindD:
 		panic("curve: RightKind yielded a left-side kind")
 	}
-	c.sorted = false
 }
 
 // AddPushLeft mirrors AddPushRight for PushLeft: the contribution at
@@ -216,15 +234,13 @@ func (c *Curve) AddPushLeft(cur, g, off, w int64) {
 	c.slope0 -= w
 	switch LeftKind(cur, g) {
 	case KindB:
-		c.breaks = append(c.breaks, breakpoint{x: cur + off, ds: w})
+		c.addBreak(cur+off, w)
 	case KindD:
-		c.breaks = append(c.breaks,
-			breakpoint{x: g + off, ds: 2 * w},
-			breakpoint{x: cur + off, ds: -w})
+		c.addBreak(g+off, 2*w)
+		c.addBreak(cur+off, -w)
 	case KindA, KindC:
 		panic("curve: LeftKind yielded a right-side kind")
 	}
-	c.sorted = false
 }
 
 // Add accumulates o into c.

@@ -1,8 +1,6 @@
 package mgl
 
 import (
-	"sort"
-
 	"mclegal/internal/geom"
 	"mclegal/internal/model"
 )
@@ -177,21 +175,9 @@ func (l *Legalizer) buildLeftChain(sc *scratch, t model.CellID, y, h, x0 int, wi
 
 	// BFS: explore left neighbors of chain members across all their rows.
 	for qi := 0; qi < len(queue); qi++ {
-		c := model.CellID(queue[qi])
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
-				return nil, chainInfeasible
-			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k int) bool { return hc.X[lst[k]] >= cx })
-			if i-1 < 0 {
-				continue
-			}
-			nb := lst[i-1]
-			if sc.inChain[nb] == sc.stamp {
+		for _, lk := range l.occ.slots(model.CellID(queue[qi])) {
+			nb := lk.left
+			if nb < 0 || sc.inChain[nb] == sc.stamp {
 				continue
 			}
 			if !l.isLocal(nb, win) || len(chain) >= capN {
@@ -217,20 +203,12 @@ func (l *Legalizer) buildLeftChain(sc *scratch, t model.CellID, y, h, x0 int, wi
 	}
 	for _, ci := range order {
 		c := chain[ci].id
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
 		off := sc.seedOff(c)
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
+		for _, lk := range l.occ.slots(c) {
+			rn := lk.right
+			if rn < 0 {
 				continue
 			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k int) bool { return hc.X[lst[k]] > cx })
-			if i >= len(lst) {
-				continue
-			}
-			rn := lst[i]
 			ri, ok2 := sc.chainAt(rn)
 			if !ok2 {
 				continue
@@ -250,23 +228,15 @@ func (l *Legalizer) buildLeftChain(sc *scratch, t model.CellID, y, h, x0 int, wi
 	for k := len(order) - 1; k >= 0; k-- {
 		ci := order[k]
 		c := chain[ci].id
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
 		var minPos int64 = -1 << 60
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
-				return nil, chainInfeasible
-			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k2 int) bool { return hc.X[lst[k2]] >= cx })
-			if i-1 < 0 {
-				if b := l.winPadLo(win, grid.Lo(sid)); b > minPos {
+		for _, lk := range l.occ.slots(c) {
+			nb := lk.left
+			if nb < 0 {
+				if b := l.winPadLo(win, grid.Lo(lk.sid)); b > minPos {
 					minPos = b
 				}
 				continue
 			}
-			nb := lst[i-1]
 			if ni, ok2 := sc.chainAt(nb); ok2 {
 				b := chain[ni].bound + int64(hc.W[nb]) + l.spacing(hc.Type[nb], hc.Type[c])
 				if b > minPos {
@@ -277,7 +247,7 @@ func (l *Legalizer) buildLeftChain(sc *scratch, t model.CellID, y, h, x0 int, wi
 				// window edge: chain cells must never leave the
 				// window, or parallel batches could collide.
 				b := int64(hc.X[nb]+hc.W[nb]) + l.spacing(hc.Type[nb], hc.Type[c])
-				if w := l.winPadLo(win, grid.Lo(sid)); w > b {
+				if w := l.winPadLo(win, grid.Lo(lk.sid)); w > b {
 					b = w
 				}
 				if b > minPos {
@@ -343,21 +313,9 @@ func (l *Legalizer) buildRightChain(sc *scratch, t model.CellID, y, h, x0 int, w
 	}
 
 	for qi := 0; qi < len(queue); qi++ {
-		c := model.CellID(queue[qi])
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
-				return nil, -chainInfeasible
-			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k int) bool { return hc.X[lst[k]] > cx })
-			if i >= len(lst) {
-				continue
-			}
-			nb := lst[i]
-			if sc.inChain[nb] == sc.stamp {
+		for _, lk := range l.occ.slots(model.CellID(queue[qi])) {
+			nb := lk.right
+			if nb < 0 || sc.inChain[nb] == sc.stamp {
 				continue
 			}
 			if !l.isLocal(nb, win) || len(chain) >= capN {
@@ -383,20 +341,12 @@ func (l *Legalizer) buildRightChain(sc *scratch, t model.CellID, y, h, x0 int, w
 	}
 	for _, ci := range order {
 		c := chain[ci].id
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
 		off := sc.seedOff(c)
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
+		for _, lk := range l.occ.slots(c) {
+			ln := lk.left
+			if ln < 0 {
 				continue
 			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k int) bool { return hc.X[lst[k]] >= cx })
-			if i-1 < 0 {
-				continue
-			}
-			ln := lst[i-1]
 			li, ok2 := sc.chainAt(ln)
 			if !ok2 {
 				continue
@@ -416,24 +366,16 @@ func (l *Legalizer) buildRightChain(sc *scratch, t model.CellID, y, h, x0 int, w
 	for k := len(order) - 1; k >= 0; k-- {
 		ci := order[k]
 		c := chain[ci].id
-		cx := hc.X[c]
-		cy := int(hc.Y[c])
 		cw := int64(hc.W[c])
 		var maxPos int64 = 1 << 60
-		for r := cy; r < cy+int(hc.H[c]); r++ {
-			sid := grid.AtID(r, int(cx))
-			if sid < 0 {
-				return nil, -chainInfeasible
-			}
-			lst := l.occ.cellsIn(sid)
-			i := sort.Search(len(lst), func(k2 int) bool { return hc.X[lst[k2]] > cx })
-			if i >= len(lst) {
-				if v := l.winPadHi(win, grid.Hi(sid)) - cw; v < maxPos {
+		for _, lk := range l.occ.slots(c) {
+			nb := lk.right
+			if nb < 0 {
+				if v := l.winPadHi(win, grid.Hi(lk.sid)) - cw; v < maxPos {
 					maxPos = v
 				}
 				continue
 			}
-			nb := lst[i]
 			if ni, ok2 := sc.chainAt(nb); ok2 {
 				b := chain[ni].bound - l.spacing(hc.Type[c], hc.Type[nb]) - cw
 				if b < maxPos {
@@ -443,7 +385,7 @@ func (l *Legalizer) buildRightChain(sc *scratch, t model.CellID, y, h, x0 int, w
 				// Non-local barrier, clamped to the padded window edge
 				// (see the left-chain mirror for why).
 				b := int64(hc.X[nb]) - l.spacing(hc.Type[c], hc.Type[nb]) - cw
-				if w := l.winPadHi(win, grid.Hi(sid)) - cw; w < b {
+				if w := l.winPadHi(win, grid.Hi(lk.sid)) - cw; w < b {
 					b = w
 				}
 				if b < maxPos {
@@ -519,9 +461,10 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 	// The summed curve lives in the scratch and is accumulated in
 	// place: the former per-cell curve constructors allocated a curve
 	// plus breakpoint storage for every local cell of every insertion
-	// point.
+	// point. It is built on [xlo, xhi] only, the range MinOn and the
+	// rail slide below read; most chain breakpoints lie outside it.
 	total := &sc.total
-	total.ResetAbs(tgx, siteW, int64(geom.Abs(y-int(hc.GY[t])))*rowH)
+	total.ResetAbs(tgx, siteW, int64(geom.Abs(y-int(hc.GY[t])))*rowH, xlo, xhi)
 	// Each local cell contributes its *incremental* displacement: the
 	// curve minus its current (sunk) displacement. Without the
 	// subtraction, insertion points whose windows happen to contain

@@ -34,14 +34,6 @@ func addCell(d *model.Design, ti model.CellTypeID, gx, gy int, f model.FenceID) 
 	return model.CellID(len(d.Cells) - 1)
 }
 
-// refreshHot rebuilds l's SoA view after a test grew or mutated the
-// design directly (production code builds the view once, after the
-// design is final).
-func refreshHot(l *Legalizer) {
-	l.hot = model.NewHotCells(l.d)
-	l.occ.hot = l.hot
-}
-
 func runMGL(t *testing.T, d *model.Design, opt Options) *Legalizer {
 	t.Helper()
 	if err := d.Validate(); err != nil {

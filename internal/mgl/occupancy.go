@@ -21,6 +21,11 @@ import (
 // by their current x. A multi-row cell appears in one segment per row
 // it spans.
 //
+// Alongside the lists it keeps, for every placed cell and every row it
+// spans, a slot with the cell's left and right neighbours in that row
+// and the row's segment. The push-chain builders walk these links
+// instead of locating a cell in its segment list again for every step.
+//
 // All position and width reads go through the HotCells view (shared
 // with the owning Legalizer): the occupancy queries run inside the
 // bestInWindow hot path, where chasing Design.Cells→Design.Types per
@@ -35,16 +40,46 @@ type occupancy struct {
 	// prefW[sid][i] is the summed width of segs[sid][:i]; it provides
 	// O(log) occupied-width queries for the quick-rejection test.
 	prefW [][]int32
+	// slotOff[id] is the index in links of cell id's bottom-row slot;
+	// the cell owns one slot per row it spans (a prefix sum of the
+	// heights in the hot view).
+	slotOff []int32
+	links   []link
+}
+
+// link is one row slot of a placed cell: its neighbours in the row's
+// segment list (-1 for none) and the segment's ID. Placed cells of one
+// segment have distinct x (the placement is legal and widths are at
+// least 1), so left is the last cell with a smaller x and right the
+// first with a larger one. Chain shifts preserve x-order, so only
+// insert writes the links.
+type link struct {
+	left, right model.CellID
+	sid         int32
 }
 
 func newOccupancy(d *model.Design, hot *model.HotCells, grid *seg.Grid) *occupancy {
-	return &occupancy{
-		d:     d,
-		hot:   hot,
-		grid:  grid,
-		segs:  make([][]model.CellID, len(grid.Segs)),
-		prefW: make([][]int32, len(grid.Segs)),
+	slotOff := make([]int32, len(hot.H))
+	var n int32
+	for id, h := range hot.H {
+		slotOff[id] = n
+		n += h
 	}
+	return &occupancy{
+		d:       d,
+		hot:     hot,
+		grid:    grid,
+		segs:    make([][]model.CellID, len(grid.Segs)),
+		prefW:   make([][]int32, len(grid.Segs)),
+		slotOff: slotOff,
+		links:   make([]link, n),
+	}
+}
+
+// slots returns the row slots of placed cell id, bottom row first.
+func (o *occupancy) slots(id model.CellID) []link {
+	s := o.slotOff[id]
+	return o.links[s : s+o.hot.H[id]]
 }
 
 // reserve returns s with room for one more element, growing by at
@@ -80,6 +115,17 @@ func (o *occupancy) insert(id model.CellID) error {
 		copy(lst[i+1:], lst[i:])
 		lst[i] = id
 		o.segs[sid] = lst
+
+		lk := link{left: -1, right: -1, sid: sid}
+		if i > 0 {
+			lk.left = lst[i-1]
+			o.slots(lk.left)[r-int(h.Y[lk.left])].right = id
+		}
+		if i+1 < len(lst) {
+			lk.right = lst[i+1]
+			o.slots(lk.right)[r-int(h.Y[lk.right])].left = id
+		}
+		o.slots(id)[r-y] = lk
 
 		// One shift-and-add pass keeps prefW a prefix sum of widths:
 		// entries after the insertion point slide right one slot
@@ -141,12 +187,4 @@ func (o *occupancy) cellsIn(sid int32) []model.CellID { return o.segs[sid] }
 func (o *occupancy) splitAt(sid int32, x int) int {
 	lst := o.segs[sid]
 	return sort.Search(len(lst), func(k int) bool { return int(o.hot.X[lst[k]]) > x })
-}
-
-// resort restores x-order of a segment after cells were shifted.
-// Shifting by the MGL chain rules preserves order, so this is only used
-// defensively by tests.
-func (o *occupancy) resort(sid int32) {
-	lst := o.segs[sid]
-	sort.SliceStable(lst, func(a, b int) bool { return o.hot.X[lst[a]] < o.hot.X[lst[b]] })
 }

@@ -8,28 +8,32 @@ import (
 	"mclegal/internal/seg"
 )
 
-func occFixture(t *testing.T) (*model.Design, *seg.Grid, *occupancy) {
+// occFixture returns an empty 100x4 design and its grid. Tests add
+// their cells first and then build the index with newOcc: the link
+// slots are sized from the hot view, so the design must be final.
+func occFixture(t *testing.T) (*model.Design, *seg.Grid) {
 	t.Helper()
 	d := newDesign(100, 4)
 	grid, err := seg.Build(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, grid, newOccupancy(d, model.NewHotCells(d), grid)
+	return d, grid
+}
+
+func newOcc(d *model.Design, grid *seg.Grid) *occupancy {
+	return newOccupancy(d, model.NewHotCells(d), grid)
 }
 
 func TestOccupancyInsertOrder(t *testing.T) {
-	d, grid, occ := occFixture(t)
-	mk := func(ti model.CellTypeID, x, y int) model.CellID {
-		id := addCell(d, ti, x, y, 0)
-		d.Cells[id].X, d.Cells[id].Y = x, y
-		occ.hot = model.NewHotCells(d)
+	d, grid := occFixture(t)
+	c := addCell(d, 0, 50, 1, 0)
+	a := addCell(d, 0, 10, 1, 0)
+	b := addCell(d, 0, 30, 1, 0)
+	occ := newOcc(d, grid)
+	for _, id := range []model.CellID{c, a, b} {
 		occ.insert(id)
-		return id
 	}
-	c := mk(0, 50, 1)
-	a := mk(0, 10, 1)
-	b := mk(0, 30, 1)
 	s, _ := grid.At(1, 0)
 	lst := occ.cellsIn(int32(s.ID))
 	if len(lst) != 3 || lst[0] != a || lst[1] != b || lst[2] != c {
@@ -44,9 +48,9 @@ func TestOccupancyInsertOrder(t *testing.T) {
 }
 
 func TestOccupancyMultiRow(t *testing.T) {
-	d, grid, occ := occFixture(t)
+	d, grid := occFixture(t)
 	id := addCell(d, 1, 20, 2, 0) // 3-wide, 2-high at rows 2,3
-	occ.hot = model.NewHotCells(d)
+	occ := newOcc(d, grid)
 	occ.insert(id)
 	for r := 2; r <= 3; r++ {
 		s, _ := grid.At(r, 20)
@@ -61,16 +65,15 @@ func TestOccupancyMultiRow(t *testing.T) {
 }
 
 func TestOccupiedWidth(t *testing.T) {
-	d, grid, occ := occFixture(t)
-	mk := func(ti model.CellTypeID, x int) {
-		id := addCell(d, ti, x, 0, 0)
-		occ.hot = model.NewHotCells(d)
-		occ.insert(id)
-	}
+	d, grid := occFixture(t)
 	// Width-2 cells at [10,12), [20,22); width-5 at [30,35).
-	mk(0, 10)
-	mk(0, 20)
-	mk(3, 30)
+	addCell(d, 0, 10, 0, 0)
+	addCell(d, 0, 20, 0, 0)
+	addCell(d, 3, 30, 0, 0)
+	occ := newOcc(d, grid)
+	for id := range d.Cells {
+		occ.insert(model.CellID(id))
+	}
 	s, _ := grid.At(0, 0)
 	cases := []struct {
 		lo, hi, want int
@@ -95,7 +98,7 @@ func TestOccupiedWidth(t *testing.T) {
 func TestOccupiedWidthRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
-		d, grid, occ := occFixture(t)
+		d, grid := occFixture(t)
 		// Random non-overlapping width-2 cells in row 0.
 		x := 0
 		var placed []int
@@ -104,11 +107,13 @@ func TestOccupiedWidthRandomized(t *testing.T) {
 			if x+2 > 100 {
 				break
 			}
-			id := addCell(d, 0, x, 0, 0)
-			occ.hot = model.NewHotCells(d)
-			occ.insert(id)
+			addCell(d, 0, x, 0, 0)
 			placed = append(placed, x)
 			x += 2
+		}
+		occ := newOcc(d, grid)
+		for id := range d.Cells {
+			occ.insert(model.CellID(id))
 		}
 		s, _ := grid.At(0, 0)
 		for q := 0; q < 30; q++ {
@@ -128,20 +133,77 @@ func TestOccupiedWidthRandomized(t *testing.T) {
 	}
 }
 
-func TestOccupancyResort(t *testing.T) {
-	d, grid, occ := occFixture(t)
-	a := addCell(d, 0, 10, 0, 0)
-	b := addCell(d, 0, 20, 0, 0)
-	occ.hot = model.NewHotCells(d)
-	occ.insert(a)
-	occ.insert(b)
-	// Manually swap positions (tests only), then resort.
-	d.Cells[a].X, d.Cells[b].X = 20, 10
-	occ.hot.Reload(d)
-	s, _ := grid.At(0, 0)
-	occ.resort(int32(s.ID))
-	lst := occ.cellsIn(int32(s.ID))
-	if lst[0] != b || lst[1] != a {
-		t.Errorf("resort failed: %v", lst)
+// The chain builders read a cell's row neighbours and segment from its
+// link slots instead of searching the segment lists, so after every
+// batch of a run each placed cell's slots must name exactly its
+// neighbours in the x-sorted lists and the list's segment. Designs mix
+// heights 1–3, and some carry a fence or edge spacing.
+func TestOccupancyLinksMatchLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 12; trial++ {
+		nSites, nRows := 60+rng.Intn(60), 8+rng.Intn(8)
+		d := randomDesign(rng, nSites, nRows, nSites*nRows/12, trial%2 == 0)
+		if trial%3 == 0 {
+			d.Tech.EdgeSpacing = [][]int{{0, 1}, {1, 1}}
+			for i := range d.Types {
+				d.Types[i].EdgeL = uint8(i % 2)
+				d.Types[i].EdgeR = uint8((i + 1) % 2)
+			}
+		}
+		grid, err := seg.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l *Legalizer
+		batches := 0
+		l = New(d, grid, Options{Workers: 1, DebugAfterBatch: func([]model.CellID) bool {
+			batches++
+			checkLinks(t, l.occ, trial, batches)
+			return !t.Failed()
+		}})
+		if err := l.Run(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// checkLinks compares every slot of every registered cell with the
+// segment lists: neighbours, segment, strict x-order, and one slot per
+// spanned row.
+func checkLinks(t *testing.T, o *occupancy, trial, batch int) {
+	t.Helper()
+	h := o.hot
+	rows := map[model.CellID]int{}
+	for sid, lst := range o.segs {
+		r := o.grid.Segs[sid].Row
+		for i, id := range lst {
+			if r < int(h.Y[id]) || r >= int(h.Y[id]+h.H[id]) {
+				t.Errorf("trial %d batch %d: cell %d (rows %d+%d) listed in row %d",
+					trial, batch, id, h.Y[id], h.H[id], r)
+				return
+			}
+			want := link{left: -1, right: -1, sid: int32(sid)}
+			if i > 0 {
+				want.left = lst[i-1]
+				if h.X[want.left] >= h.X[id] {
+					t.Errorf("trial %d batch %d: segment %d not strictly x-sorted at %d",
+						trial, batch, sid, i)
+				}
+			}
+			if i+1 < len(lst) {
+				want.right = lst[i+1]
+			}
+			if got := o.slots(id)[r-int(h.Y[id])]; got != want {
+				t.Errorf("trial %d batch %d: cell %d row %d link %+v, lists say %+v",
+					trial, batch, id, r, got, want)
+			}
+			rows[id]++
+		}
+	}
+	for id, n := range rows {
+		if n != int(h.H[id]) {
+			t.Errorf("trial %d batch %d: cell %d listed in %d rows, spans %d",
+				trial, batch, id, n, h.H[id])
+		}
 	}
 }

@@ -76,7 +76,7 @@ type Options struct {
 	// y-displacement cost alone exceeds the best found cost plus this
 	// many row heights. The slack absorbs the (rare) negative
 	// incremental costs of pushing displaced cells back toward their GP
-	// positions. 0 means 16; negative disables pruning (exhaustive
+	// positions. 0 means 8; negative disables pruning (exhaustive
 	// evaluation, the paper's literal procedure).
 	PruneSlackRows int
 	// DebugAfterBatch, when set, is called after each batch commit

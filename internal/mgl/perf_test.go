@@ -25,7 +25,6 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		occ := newOccupancy(d, model.NewHotCells(d), grid)
 		// Random non-overlapping cells of mixed widths/heights, placed
 		// row by row, inserted in shuffled order.
 		var ids []model.CellID
@@ -43,7 +42,7 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 				x += ct.Width + rng.Intn(4)
 			}
 		}
-		occ.hot = model.NewHotCells(d) // cells were added after the fixture view
+		occ := newOcc(d, grid)
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		for n, id := range ids {
 			if err := occ.insert(id); err != nil {

@@ -112,13 +112,12 @@ func TestInsertionRepsEnumeration(t *testing.T) {
 	d := newDesign(60, 4)
 	a := addCell(d, 0, 10, 1, 0)
 	b := addCell(d, 0, 30, 1, 0)
+	c := addCell(d, 0, 20, 2, 0) // registered below, for the 2-row case
 	grid, err := seg.Build(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := New(d, grid, Options{Workers: 1})
-	d.Cells[a].X, d.Cells[a].Y = 10, 1
-	d.Cells[b].X, d.Cells[b].Y = 30, 1
 	l.occ.insert(a)
 	l.occ.insert(b)
 	win := geom.Rect{XLo: 5, YLo: 0, XHi: 50, YHi: 3}
@@ -136,9 +135,6 @@ func TestInsertionRepsEnumeration(t *testing.T) {
 		}
 	}
 	// Multi-row span gathers edges from every row.
-	c := addCell(d, 0, 20, 2, 0)
-	d.Cells[c].X, d.Cells[c].Y = 20, 2
-	refreshHot(l)
 	l.occ.insert(c)
 	reps = l.insertionReps(sc, model.DefaultFence, 1, 2, win)
 	want = []int{5, 10, 20, 30}
