@@ -466,7 +466,13 @@ func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) 
 			out.RefineReport = pc.RefineReport
 			res.MGLStats.Placed += pc.MGLStats.Placed
 			res.MGLStats.WindowRetries += pc.MGLStats.WindowRetries
+			res.MGLStats.QualityRetries += pc.MGLStats.QualityRetries
+			for a, c := range pc.MGLStats.CommitAttempts {
+				res.MGLStats.CommitAttempts[a] += c
+			}
 			res.MGLStats.Batches += pc.MGLStats.Batches
+			res.MGLStats.SplitBatches += pc.MGLStats.SplitBatches
+			res.MGLStats.SpeculativeRows += pc.MGLStats.SpeculativeRows
 			if pc.MGLStats.Workers > res.MGLStats.Workers {
 				res.MGLStats.Workers = pc.MGLStats.Workers
 			}

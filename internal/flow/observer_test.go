@@ -69,6 +69,18 @@ func TestObserverEventsOnContestBench(t *testing.T) {
 	if c := log.finishes[0].Counters["cells_placed"]; c != int64(d.MovableCount()) {
 		t.Errorf("mgl cells_placed = %d, want %d", c, d.MovableCount())
 	}
+	ms := res.MGLStats
+	for key, v := range map[string]int{
+		"quality_retries":      ms.QualityRetries,
+		"commit_attempt_0":     ms.CommitAttempts[0],
+		"commit_attempt_3plus": ms.CommitAttempts[3],
+		"split_batches":        ms.SplitBatches,
+		"speculative_rows":     ms.SpeculativeRows,
+	} {
+		if c := log.finishes[0].Counters[key]; c != int64(v) {
+			t.Errorf("mgl %s = %d, stats say %d", key, c, v)
+		}
+	}
 	if log.finishes[1].Counters["matchings_solved"] != int64(res.MaxDispStats.Groups) {
 		t.Errorf("matching counters diverge from stats")
 	}

@@ -8,6 +8,7 @@ import (
 	"mclegal/internal/bmark"
 	"mclegal/internal/eval"
 	"mclegal/internal/faults"
+	"mclegal/internal/mgl"
 	"mclegal/internal/seg"
 	"mclegal/internal/shard"
 )
@@ -80,7 +81,7 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 		Name: "shard-report", Seed: 7, Counts: [4]int{700, 70, 16, 6},
 		Density: 0.55, NumFences: 1, FenceFrac: 0.4, NetFrac: 0.3,
 	})
-	res, err := Run(d, Options{Workers: 1, Shards: 2})
+	res, err := Run(d, Options{Workers: 2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +95,21 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 		!strings.HasPrefix(res.Shards[len(res.Shards)-1].Name, "slab") {
 		t.Errorf("last region %q, want a slab", res.Shards[len(res.Shards)-1].Name)
 	}
-	var cells, placed int
+	var cells int
+	var sum mgl.Stats
 	for _, sh := range res.Shards {
 		cells += sh.Cells
-		placed += sh.MGLStats.Placed
+		st := sh.MGLStats
+		sum.Placed += st.Placed
+		sum.WindowRetries += st.WindowRetries
+		sum.QualityRetries += st.QualityRetries
+		for a, c := range st.CommitAttempts {
+			sum.CommitAttempts[a] += c
+		}
+		sum.Batches += st.Batches
+		sum.SplitBatches += st.SplitBatches
+		sum.SpeculativeRows += st.SpeculativeRows
+		sum.Workers = max(sum.Workers, st.Workers)
 		if len(sh.Timings) == 0 {
 			t.Errorf("shard %s has no timings", sh.Name)
 		}
@@ -105,8 +117,8 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 	if cells != d.MovableCount() {
 		t.Errorf("shard cells sum to %d, want %d", cells, d.MovableCount())
 	}
-	if res.MGLStats.Placed != placed {
-		t.Errorf("aggregated Placed = %d, per-shard sum = %d", res.MGLStats.Placed, placed)
+	if res.MGLStats != sum {
+		t.Errorf("aggregated MGL stats %+v, per-shard sum %+v", res.MGLStats, sum)
 	}
 	if res.MGLTime == 0 {
 		t.Error("MGLTime not accumulated from prefixed timings")

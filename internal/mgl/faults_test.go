@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mclegal/internal/faults"
+	"mclegal/internal/model"
 	"mclegal/internal/seg"
 )
 
@@ -33,41 +34,62 @@ func faultLegalizer(t *testing.T, n int) func(opt Options) *Legalizer {
 // An injected panic inside an evaluation worker is recovered into a
 // typed *WorkerPanicError — the process survives, the error names the
 // cell and carries a stack.
+// BatchCap 1 at Workers 4 splits every batch into row tasks.
 func TestWorkerPanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, opt := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, BatchCap: 1}} {
 		mk := faultLegalizer(t, 30)
-		l := mk(Options{Workers: workers, Faults: faults.New().Arm(faults.MGLWorkerPanic)})
-		err := l.Run()
+		opt.Faults = faults.New().Arm(faults.MGLWorkerPanic)
+		err := mk(opt).Run()
 		var wp *WorkerPanicError
 		if !errors.As(err, &wp) {
-			t.Fatalf("workers=%d: err = %T %v, want *WorkerPanicError", workers, err, err)
+			t.Fatalf("workers=%d batchcap=%d: err = %T %v, want *WorkerPanicError", opt.Workers, opt.BatchCap, err, err)
 		}
 		if len(wp.Stack) == 0 || wp.Value == nil {
-			t.Errorf("workers=%d: incomplete panic error %+v", workers, wp)
+			t.Errorf("workers=%d batchcap=%d: incomplete panic error %+v", opt.Workers, opt.BatchCap, wp)
 		}
 		if !strings.Contains(wp.Error(), "worker panic") {
-			t.Errorf("workers=%d: error text %q", workers, wp.Error())
+			t.Errorf("workers=%d batchcap=%d: error text %q", opt.Workers, opt.BatchCap, wp.Error())
 		}
 	}
+}
+
+// workerPanicCell runs the fault design with the injector armed to let
+// skip evaluations pass and then fire count times, and returns the cell
+// the reported panic names.
+func workerPanicCell(t *testing.T, opt Options, skip, count int) model.CellID {
+	t.Helper()
+	opt.Faults = faults.New().ArmN(faults.MGLWorkerPanic, skip, count)
+	err := faultLegalizer(t, 30)(opt).Run()
+	var wp *WorkerPanicError
+	if !errors.As(err, &wp) {
+		t.Fatalf("workers=%d batchcap=%d skip=%d: err = %v", opt.Workers, opt.BatchCap, skip, err)
+	}
+	return wp.Cell
 }
 
 // With every evaluation panicking, the reported cell is the lowest
 // batch index regardless of worker count: first panic wins
 // deterministically.
 func TestWorkerPanicDeterministic(t *testing.T) {
-	report := func(workers int) *WorkerPanicError {
-		mk := faultLegalizer(t, 30)
-		l := mk(Options{Workers: workers, Faults: faults.New().ArmN(faults.MGLWorkerPanic, 0, -1)})
-		err := l.Run()
-		var wp *WorkerPanicError
-		if !errors.As(err, &wp) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
+	a := workerPanicCell(t, Options{Workers: 1}, 0, -1)
+	for _, opt := range []Options{{Workers: 8}, {Workers: 4, BatchCap: 1}} {
+		if b := workerPanicCell(t, opt, 0, -1); a != b {
+			t.Errorf("panic attribution depends on workers: cell %d vs %d at %+v", a, b, opt)
 		}
-		return wp
 	}
-	a, b := report(1), report(8)
-	if a.Cell != b.Cell {
-		t.Errorf("panic attribution depends on workers: cell %d vs %d", a.Cell, b.Cell)
+}
+
+// Firing is decided serially, one hit per window per batch in slot
+// order, so the k-th hit names the same cell at every worker count,
+// split batches included.
+func TestWorkerPanicSameCellAcrossWorkers(t *testing.T) {
+	for _, skip := range []int{0, 3, 10, 25} {
+		for _, batchCap := range []int{0, 1} {
+			a := workerPanicCell(t, Options{Workers: 1, BatchCap: batchCap}, skip, 1)
+			if b := workerPanicCell(t, Options{Workers: 8, BatchCap: batchCap}, skip, 1); a != b {
+				t.Errorf("skip %d batchcap %d: the fault hits cell %d at Workers 1, cell %d at Workers 8", skip, batchCap, a, b)
+			}
+		}
 	}
 }
 

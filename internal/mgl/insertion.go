@@ -13,10 +13,12 @@ type move struct {
 
 // plan is a fully evaluated insertion of the target cell: its position,
 // the chain shifts that make room, and the total DBU displacement cost
-// (target + shifted locals, each measured from its GP position).
+// (target + shifted locals, each measured from its GP position). x0 is
+// the insertion point the plan was evaluated at.
 type plan struct {
 	target model.CellID
 	x, y   int
+	x0     int
 	cost   int64
 	moves  []move
 	ok     bool
@@ -533,7 +535,7 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 		bestV += l.opt.Rules.IOPenalty(hc.Type[t], int(bestX), y)
 	}
 
-	p := plan{target: t, x: int(bestX), y: y, cost: bestV, ok: true}
+	p := plan{target: t, x: int(bestX), y: y, x0: x0, cost: bestV, ok: true}
 	moves := sc.moves[:0]
 	for i := range left {
 		if left[i].off <= 0 {

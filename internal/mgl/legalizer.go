@@ -3,10 +3,12 @@ package mgl
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mclegal/internal/faults"
 	"mclegal/internal/geom"
@@ -16,9 +18,18 @@ import (
 
 // Stats reports work done by a Run.
 type Stats struct {
-	Placed        int
-	WindowRetries int
-	Batches       int
+	Placed int
+	// WindowRetries counts evaluated windows that committed nothing;
+	// QualityRetries is the share that quality-driven growth threw away.
+	WindowRetries, QualityRetries int
+	// CommitAttempts[a] counts cells committed at window attempt a, the
+	// last entry attempts 3 and up; the entries sum to Placed.
+	CommitAttempts [4]int
+	Batches        int
+	// SplitBatches counts batches evaluated as row tasks (narrower than
+	// Workers); SpeculativeRows counts rows those tasks evaluated past
+	// the sequential scan's stop, which the replay discarded.
+	SplitBatches, SpeculativeRows int
 	// Workers is the evaluation concurrency the run actually used
 	// (after defaulting). It never affects the placement — see
 	// Options.Workers — and is reported for observability only.
@@ -146,81 +157,90 @@ func betterPlan(p, best plan, gy int) bool {
 //
 //mclegal:hotpath per-cell inner loop of MGL; TestBestInWindowZeroAlloc pins it to 0 allocs/op after warm-up
 func (l *Legalizer) bestInWindow(t model.CellID, win geom.Rect, dst *[]move) (plan, bool) {
-	d := l.d
-	hc := l.hot
-	h := int(hc.H[t])
-
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
+	// Scan candidate rows outward from the GP row (see scanRow) so that
+	// row pruning (PruneSlackRows) can stop early: once the y-cost alone
+	// exceeds the best cost plus the slack, no farther row can win.
+	// Split batches lay out their row tasks in the same order.
 	var best plan
-
-	// Scan candidate rows outward from the GP row — distance ascending,
-	// lower row first on ties — so that row pruning (PruneSlackRows) can
-	// stop early: once the y-cost alone exceeds the best cost plus the
-	// slack, no farther row can win. The order is generated directly
-	// (no row buffer, no sort): for each distance dist, try GY-dist
-	// then GY+dist.
-	yLo := win.YLo
-	if yLo < 0 {
-		yLo = 0
-	}
-	yHi := win.YHi
-	if yHi > d.Tech.NumRows {
-		yHi = d.Tech.NumRows
-	}
-	yHi -= h // highest valid bottom row
-	gy := int(hc.GY[t])
-	dMax := -1
-	if yHi >= yLo {
-		dMax = geom.Abs(gy - yLo)
-		if v := geom.Abs(yHi - gy); v > dMax {
-			dMax = v
+	h := int(l.hot.H[t])
+	yLo, yHi, gy, kMax := l.scanRange(t, win)
+	for k := 0; k <= kMax; k++ {
+		y, dist := scanRow(gy, k)
+		if y < yLo || y > yHi {
+			continue
 		}
-	}
-	rowH := int64(d.Tech.RowH)
-rowLoop:
-	for dist := 0; dist <= dMax; dist++ {
-		for side := 0; side < 2; side++ {
-			y := gy - dist
-			if side == 1 {
-				if dist == 0 {
-					continue
-				}
-				y = gy + dist
-			}
-			if y < yLo || y > yHi {
-				continue
-			}
-			if l.opt.PruneSlackRows >= 0 && best.ok {
-				yCost := int64(dist) * rowH
-				if yCost > best.cost+int64(l.opt.PruneSlackRows)*rowH {
-					break rowLoop
-				}
-			}
-			if !d.Tech.RowAllowed(h, y) {
-				continue
-			}
-			if l.opt.Rules != nil && l.opt.Rules.RowForbidden(hc.Type[t], y) {
-				continue
-			}
-			for _, x0 := range l.insertionReps(sc, hc.Fence[t], y, h, win) {
-				p, ok := l.evaluateInsertion(sc, t, y, h, x0, win)
-				if ok && betterPlan(p, best, gy) {
-					// p.moves aliases sc.moves, which the next
-					// evaluation overwrites: keep a stable copy.
-					sc.bestMoves = append(sc.bestMoves[:0], p.moves...)
-					best = p
-					best.moves = sc.bestMoves
-				}
-			}
+		if best.ok && l.prunes(dist, best.cost) {
+			break
 		}
+		best = l.bestInRow(sc, t, y, h, win, best)
 	}
 	if best.ok {
 		*dst = append((*dst)[:0], best.moves...)
 		best.moves = *dst
 	}
 	return best, best.ok
+}
+
+// bestInRow evaluates every insertion point of t on row y of win and
+// returns best replaced by the first of them that betterPlan prefers
+// to it, if any. The returned plan's moves live in sc.bestMoves. This
+// is the per-row body of both bestInWindow and a split batch's row
+// tasks, which pass an unset best.
+func (l *Legalizer) bestInRow(sc *scratch, t model.CellID, y, h int, win geom.Rect, best plan) plan {
+	hc := l.hot
+	if !l.d.Tech.RowAllowed(h, y) {
+		return best
+	}
+	if l.opt.Rules != nil && l.opt.Rules.RowForbidden(hc.Type[t], y) {
+		return best
+	}
+	gy := int(hc.GY[t])
+	for _, x0 := range l.insertionReps(sc, hc.Fence[t], y, h, win) {
+		p, ok := l.evaluateInsertion(sc, t, y, h, x0, win)
+		if ok && betterPlan(p, best, gy) {
+			// p.moves aliases sc.moves, which the next evaluation
+			// overwrites: keep a stable copy.
+			sc.bestMoves = append(sc.bestMoves[:0], p.moves...)
+			best = p
+			best.moves = sc.bestMoves
+		}
+	}
+	return best
+}
+
+// scanRange returns the rows [yLo, yHi] that t's bottom edge may take
+// in win, t's GP row gy, and the last scanRow index that can reach them
+// (-1 when the range is empty).
+func (l *Legalizer) scanRange(t model.CellID, win geom.Rect) (yLo, yHi, gy, kMax int) {
+	yLo = max(win.YLo, 0)
+	yHi = min(win.YHi, l.d.Tech.NumRows) - int(l.hot.H[t])
+	gy = int(l.hot.GY[t])
+	kMax = -1
+	if yHi >= yLo {
+		kMax = 2 * max(geom.Abs(gy-yLo), geom.Abs(yHi-gy))
+	}
+	return yLo, yHi, gy, kMax
+}
+
+// scanRow returns the k-th row of the outward scan from the GP row gy
+// and its distance from gy: distance ascending, the lower row first on
+// ties (gy, gy-1, gy+1, gy-2, gy+2, ...).
+func scanRow(gy, k int) (y, dist int) {
+	dist = (k + 1) / 2
+	if k%2 == 1 {
+		return gy - dist, dist
+	}
+	return gy + dist, dist
+}
+
+// prunes reports whether row pruning ends the outward scan at a row
+// dist rows from the GP row once a plan of cost best is known.
+func (l *Legalizer) prunes(dist int, best int64) bool {
+	rowH := int64(l.d.Tech.RowH)
+	return l.opt.PruneSlackRows >= 0 && int64(dist)*rowH > best+int64(l.opt.PruneSlackRows)*rowH
 }
 
 // insertionReps returns the representative x positions that enumerate
@@ -285,6 +305,7 @@ func (l *Legalizer) commit(p plan) error {
 		return err
 	}
 	l.Stats.Placed++
+	l.Stats.CommitAttempts[min(int(l.rs.attempt[p.target]), len(l.Stats.CommitAttempts)-1)]++
 	return nil
 }
 
@@ -322,9 +343,9 @@ func min64(a, b int64) int64 {
 
 // runState holds the scheduler's per-run buffers: per-cell retry
 // counters, epoch-stamped batch membership (replacing per-batch maps),
-// the per-slot evaluation results, and the sorted-interval sweep over
-// the chosen windows. Everything is allocated once per design size and
-// reused across batches and runs.
+// the per-slot evaluation results, the row tasks of a split batch, and
+// the sorted-interval sweep over the chosen windows. Everything is
+// allocated once per design size and reused across batches and runs.
 type runState struct {
 	// Per-cell state, indexed by CellID. attempt and quality persist
 	// across batches within one run; selEpoch/failEpoch mark batch
@@ -336,14 +357,24 @@ type runState struct {
 	failEpoch []uint32
 	epoch     uint32
 
-	// Per-batch slots, capacity BatchCap.
+	// Per-batch slots, capacity BatchCap. fire[i] is the injected-panic
+	// decision for slot i, made serially when the batch is built.
 	batch     []model.CellID
 	wins      []geom.Rect
 	plans     []plan
 	oks       []bool
-	panics    []*WorkerPanicError
+	fire      []bool
+	panics    []atomic.Pointer[WorkerPanicError]
 	moves     [][]move // stable backing storage for plans[i].moves
 	committed []model.CellID
+
+	// The current batch's tasks, claimed through next: slot i's window
+	// when split is false, row tasks otherwise, slot i owning
+	// tasks[taskLo[i]:taskLo[i+1]].
+	split  bool
+	tasks  []rowTask
+	taskLo []int32
+	next   atomic.Int32
 
 	// Window-overlap sweep: indices into wins sorted by XLo, with a
 	// parallel prefix-maximum of XHi (see overlapsChosen).
@@ -368,8 +399,10 @@ func (rs *runState) ensure(nCells, batchCap int) {
 		rs.wins = make([]geom.Rect, 0, batchCap)
 		rs.plans = make([]plan, batchCap)
 		rs.oks = make([]bool, batchCap)
-		rs.panics = make([]*WorkerPanicError, batchCap)
+		rs.fire = make([]bool, batchCap)
+		rs.panics = make([]atomic.Pointer[WorkerPanicError], batchCap)
 		rs.moves = make([][]move, batchCap)
+		rs.taskLo = make([]int32, batchCap+1)
 		rs.byXLo = make([]int32, 0, batchCap)
 		rs.maxHi = make([]int, 0, batchCap)
 	}
@@ -418,51 +451,233 @@ func (rs *runState) addChosen(idx int) {
 	}
 }
 
-// evalOne evaluates batch slot i against the current snapshot. A panic
-// inside the evaluation is recovered into a typed *WorkerPanicError
-// carrying the cell and stack — the first panic wins deterministically
-// (lowest batch index) — so a degenerate window can never crash the
-// process.
-func (l *Legalizer) evalOne(i int) {
+// rowTask is one candidate row of a split window. cost is the row's
+// best plan cost, or noCost until the row has a plan; the window's
+// other tasks read it while the batch runs. x and x0 are that plan's
+// target x and insertion point. y is -1 for the one empty task of a
+// window without candidate rows.
+type rowTask struct {
+	cost          atomic.Int64
+	slot, y, dist int32
+	x, x0         int32
+	skipped       bool // left unevaluated by evalRow's stop test
+}
+
+const noCost int64 = math.MaxInt64
+
+// addRowTasks appends batch slot i's candidate rows as row tasks, in
+// bestInWindow's scan order. A window without candidate rows gets one
+// empty task, so that every window has a first task.
+func (l *Legalizer) addRowTasks(i int) {
 	rs := &l.rs
+	yLo, yHi, gy, kMax := l.scanRange(rs.batch[i], rs.wins[i])
+	add := func(y, dist int) {
+		rs.tasks = append(rs.tasks, rowTask{slot: int32(i), y: int32(y), dist: int32(dist)})
+		rs.tasks[len(rs.tasks)-1].cost.Store(noCost)
+	}
+	for k := 0; k <= kMax; k++ {
+		if y, dist := scanRow(gy, k); y >= yLo && y <= yHi {
+			add(y, dist)
+		}
+	}
+	if int32(len(rs.tasks)) == rs.taskLo[i] {
+		add(-1, 0)
+	}
+	rs.taskLo[i+1] = int32(len(rs.tasks))
+}
+
+// runTask evaluates task k of the current batch against the snapshot:
+// slot k's window, or one row of a split window. A panic inside the
+// evaluation is recovered into a typed *WorkerPanicError carrying the
+// cell and stack — RunContext reports the lowest slot's — so a
+// degenerate window can never crash the process. An injected panic is
+// raised in its window's first task.
+func (l *Legalizer) runTask(k int) {
+	rs := &l.rs
+	i := k
+	if rs.split {
+		i = int(rs.tasks[k].slot)
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			rs.panics[i] = &WorkerPanicError{
+			rs.panics[i].CompareAndSwap(nil, &WorkerPanicError{
 				Cell: rs.batch[i], Value: r, Stack: debug.Stack(),
-			}
+			})
 		}
 	}()
-	if l.opt.Faults.ShouldFire(faults.MGLWorkerPanic) {
+	if rs.fire[i] && (!rs.split || k == int(rs.taskLo[i])) {
 		panic("injected worker panic")
+	}
+	if rs.split {
+		l.evalRow(k)
+		return
 	}
 	rs.plans[i], rs.oks[i] = l.bestInWindow(rs.batch[i], rs.wins[i], &rs.moves[i])
 }
 
-// evalPool is the persistent evaluation worker pool of one RunContext:
-// opt.Workers goroutines started once, fed batch slot indices over a
-// channel, and torn down by stop() on every return path. This replaces
-// the former per-batch goroutine+semaphore spawn, whose setup cost was
-// paid thousands of times per run.
-type evalPool struct {
-	work    chan int
-	workers sync.WaitGroup // worker goroutine lifetimes
-	pending sync.WaitGroup // outstanding evaluations of the current batch
+// evalRow evaluates row task k unless the finished rows before it in
+// its window's scan order prove the sequential scan stops at or before
+// it: their best cost is at least the sequential best at that point,
+// so the stop condition holds there too.
+func (l *Legalizer) evalRow(k int) {
+	rs := &l.rs
+	tk := &rs.tasks[k]
+	if tk.y < 0 {
+		return
+	}
+	best := noCost
+	for j := rs.taskLo[tk.slot]; j < int32(k); j++ {
+		best = min(best, rs.tasks[j].cost.Load())
+	}
+	if best != noCost && l.prunes(int(tk.dist), best) {
+		tk.skipped = true
+		return
+	}
+	t := rs.batch[tk.slot]
+	sc := scratchPool.Get().(*scratch)
+	p := l.bestInRow(sc, t, int(tk.y), int(l.hot.H[t]), rs.wins[tk.slot], plan{})
+	scratchPool.Put(sc)
+	if p.ok {
+		tk.x, tk.x0 = int32(p.x), int32(p.x0)
+		tk.cost.Store(p.cost)
+	}
 }
 
-// startPool launches the workers. Workers observing a cancelled ctx
-// drain their indices without evaluating (oks stays false); RunContext
+// replay turns split slot i's row results into the plan bestInWindow
+// returns: it picks the row as the sequential scan does, then evaluates
+// the winning insertion point again for its moves.
+func (l *Legalizer) replay(i int) {
+	rs := &l.rs
+	t := rs.batch[i]
+	lo := rs.taskLo[i]
+	k, speculative := l.replayRows(rs.tasks[lo:rs.taskLo[i+1]], int(l.hot.GY[t]))
+	l.Stats.SpeculativeRows += speculative
+	if k < 0 {
+		return
+	}
+	tk := &rs.tasks[int(lo)+k]
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	p, ok := l.evaluateInsertion(sc, t, int(tk.y), int(l.hot.H[t]), int(tk.x0), rs.wins[i])
+	if !ok || p.x != int(tk.x) || p.cost != tk.cost.Load() {
+		panic("mgl: re-evaluated insertion point differs from its row task")
+	}
+	rs.moves[i] = append(rs.moves[i][:0], p.moves...)
+	p.moves = rs.moves[i]
+	rs.plans[i], rs.oks[i] = p, true
+}
+
+// replayRows walks one window's row tasks in scan order, applying the
+// PruneSlackRows stop and betterPlan as bestInWindow does. It returns
+// the index of the task holding the plan the scan picks (-1 for none)
+// and the number of rows evaluated past the stop. Plans of different
+// rows differ in y, so betterPlan never ties across rows, and reducing
+// each row's first minimum in scan order gives the scan's first
+// minimum. A row the scan needs that was skipped is a bug: it panics.
+func (l *Legalizer) replayRows(tasks []rowTask, gy int) (win, speculative int) {
+	win = -1
+	var best plan
+	for k := range tasks {
+		tk := &tasks[k]
+		if best.ok && l.prunes(int(tk.dist), best.cost) {
+			for j := k; j < len(tasks); j++ {
+				if !tasks[j].skipped {
+					speculative++
+				}
+			}
+			break
+		}
+		if tk.skipped {
+			panic("mgl: a row the sequential scan needs was skipped")
+		}
+		if c := tk.cost.Load(); c != noCost {
+			p := plan{x: int(tk.x), y: int(tk.y), cost: c, ok: true}
+			if betterPlan(p, best, gy) {
+				best, win = p, k
+			}
+		}
+	}
+	return win, speculative
+}
+
+// drain claims tasks of the current batch through the shared cursor
+// and evaluates them until none is left or ctx is cancelled; RunContext
 // checks ctx before interpreting any result.
+func (l *Legalizer) drain(ctx context.Context) {
+	rs := &l.rs
+	n := len(rs.batch)
+	if rs.split {
+		n = len(rs.tasks)
+	}
+	for ctx.Err() == nil {
+		k := int(rs.next.Add(1)) - 1
+		if k >= n {
+			return
+		}
+		l.runTask(k)
+	}
+}
+
+// evaluate scores the current batch against the snapshot. A batch
+// narrower than Workers is split into one task per candidate row, so
+// that no worker idles, and replayed afterwards into the plans
+// bestInWindow would return; wider batches, and every batch at
+// Workers 1, run one task per window.
+func (l *Legalizer) evaluate(ctx context.Context, pool *evalPool) error {
+	rs := &l.rs
+	n := len(rs.batch)
+	rs.split = n < l.opt.Workers
+	rs.tasks = rs.tasks[:0]
+	for i := 0; i < n; i++ {
+		rs.oks[i] = false
+		rs.panics[i].Store(nil)
+		// Decided serially in slot order, so the window a fault hits
+		// never depends on worker timing.
+		rs.fire[i] = l.opt.Faults.ShouldFire(faults.MGLWorkerPanic)
+		if rs.split {
+			l.addRowTasks(i)
+		}
+	}
+	rs.next.Store(0)
+	pool.run(ctx, l)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i := range rs.panics[:n] {
+		if pe := rs.panics[i].Load(); pe != nil {
+			return pe
+		}
+	}
+	if rs.split {
+		l.Stats.SplitBatches++
+		for i := 0; i < n; i++ {
+			l.replay(i)
+		}
+	}
+	return nil
+}
+
+// evalPool is the persistent evaluation worker pool of one RunContext:
+// Workers-1 helper goroutines (none at Workers 1) started once and torn
+// down by stop() on every return path. Per batch, each helper takes one
+// token and claims tasks through the batch cursor beside the scheduler
+// goroutine, which drains tasks too.
+type evalPool struct {
+	start   chan struct{} // one token per helper per batch
+	workers sync.WaitGroup
+	pending sync.WaitGroup // helpers still draining the current batch
+}
+
+// startPool launches the helpers.
 func (l *Legalizer) startPool(ctx context.Context) *evalPool {
-	// The buffer covers a full batch, so dispatch never blocks.
-	p := &evalPool{work: make(chan int, l.opt.BatchCap)}
-	p.workers.Add(l.opt.Workers)
-	for w := 0; w < l.opt.Workers; w++ {
+	helpers := l.opt.Workers - 1
+	p := &evalPool{start: make(chan struct{}, helpers)}
+	p.workers.Add(helpers)
+	for w := 0; w < helpers; w++ {
 		go func() {
 			defer p.workers.Done()
-			for i := range p.work {
-				if ctx.Err() == nil {
-					l.evalOne(i)
-				}
+			for range p.start {
+				l.drain(ctx)
 				p.pending.Done()
 			}
 		}()
@@ -470,14 +685,16 @@ func (l *Legalizer) startPool(ctx context.Context) *evalPool {
 	return p
 }
 
-// run evaluates slots [0,n) of the current batch and blocks until all
-// are done. The WaitGroup handoff orders the workers' writes to the
-// runState slots before RunContext reads them.
-func (p *evalPool) run(n int) {
-	p.pending.Add(n)
-	for i := 0; i < n; i++ {
-		p.work <- i
+// run drains the current batch on the helpers and the calling
+// goroutine and blocks until every task is done. The WaitGroup handoff
+// orders the helpers' writes to the runState slots and tasks before
+// the scheduler reads them.
+func (p *evalPool) run(ctx context.Context, l *Legalizer) {
+	p.pending.Add(cap(p.start))
+	for i := 0; i < cap(p.start); i++ {
+		p.start <- struct{}{}
 	}
+	l.drain(ctx)
 	p.pending.Wait()
 }
 
@@ -485,7 +702,7 @@ func (p *evalPool) run(n int) {
 // returned RunContext never leaks goroutines (see
 // TestPoolShutdownNoGoroutineLeak).
 func (p *evalPool) stop() {
-	close(p.work)
+	close(p.start)
 	p.workers.Wait()
 }
 
@@ -497,10 +714,11 @@ func (l *Legalizer) Run() error { return l.RunContext(context.Background()) }
 // RunContext legalizes every movable cell using the deterministic
 // window scheduler of paper Section 3.5: each iteration selects up to
 // BatchCap cells (in queue order) whose windows are pairwise disjoint,
-// evaluates them (on the persistent worker pool for Workers > 1)
-// against the iteration's snapshot, then commits the results in queue
-// order. Batch composition and commit order never depend on Workers,
-// so the final placement is byte-identical for every worker count.
+// evaluates them against the iteration's snapshot (see evaluate), then
+// commits the results in queue order. Batch composition and commit
+// order never depend on Workers, and a split batch's replay returns
+// the plans bestInWindow would, so the final placement is
+// byte-identical for every worker count.
 //
 // Cancelling ctx aborts between batches — never mid-commit — with
 // ctx.Err(): cells already committed keep their legal positions and
@@ -513,11 +731,8 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 	rs := &l.rs
 	rs.ensure(len(l.d.Cells), l.opt.BatchCap)
 	l.Stats.Workers = l.opt.Workers
-	var pool *evalPool
-	if l.opt.Workers > 1 {
-		pool = l.startPool(ctx)
-		defer pool.stop()
-	}
+	pool := l.startPool(ctx)
+	defer pool.stop()
 	core := l.d.Tech.CoreRect()
 	for len(queue) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -544,32 +759,8 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 		}
 		l.Stats.Batches++
 
-		// Evaluation against the current snapshot: inline for a single
-		// worker, on the pool otherwise. Cancelled evaluations leave
-		// oks[i] false, but those entries are never interpreted — the
-		// ctx check below returns before any commit.
-		n := len(rs.batch)
-		for i := 0; i < n; i++ {
-			rs.oks[i] = false
-			rs.panics[i] = nil
-		}
-		if pool != nil {
-			pool.run(n)
-		} else {
-			for i := 0; i < n; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				l.evalOne(i)
-			}
-		}
-		if err := ctx.Err(); err != nil {
+		if err := l.evaluate(ctx, pool); err != nil {
 			return err
-		}
-		for _, pe := range rs.panics[:n] {
-			if pe != nil {
-				return pe
-			}
 		}
 
 		// Sequential deterministic commit; failures grow their window
@@ -589,6 +780,7 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 					rs.attempt[t]++
 					rs.failEpoch[t] = rs.epoch
 					l.Stats.WindowRetries++
+					l.Stats.QualityRetries++
 					continue
 				}
 				if err := l.commit(rs.plans[i]); err != nil {

@@ -388,12 +388,32 @@ func TestParallelDeterminism(t *testing.T) {
 		d1 := randomDesign(rng, 120, 12, 110, trial%2 == 0)
 		d2 := d1.Clone()
 		d3 := d1.Clone()
+		d4 := d1.Clone()
 		runMGL(t, d1, Options{Workers: 1})
 		runMGL(t, d2, Options{Workers: 4})
 		runMGL(t, d3, Options{Workers: 4})
 		for i := range d2.Cells {
 			if d2.Cells[i].X != d3.Cells[i].X || d2.Cells[i].Y != d3.Cells[i].Y {
 				t.Fatalf("trial %d: parallel runs disagree at cell %d", trial, i)
+			}
+			if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
+				t.Fatalf("trial %d: Workers 1 and 4 disagree at cell %d", trial, i)
+			}
+		}
+		// BatchCap 1: every batch is one window, so at Workers >= 2
+		// every batch is split into row tasks.
+		var ref *model.Design
+		for _, w := range []int{1, 2, 3, 4, 8} {
+			d := d4.Clone()
+			runMGL(t, d, Options{Workers: w, BatchCap: 1})
+			if ref == nil {
+				ref = d
+				continue
+			}
+			for i := range d.Cells {
+				if d.Cells[i].X != ref.Cells[i].X || d.Cells[i].Y != ref.Cells[i].Y {
+					t.Fatalf("trial %d: BatchCap 1 at Workers %d disagrees with Workers 1 at cell %d", trial, w, i)
+				}
 			}
 		}
 	}

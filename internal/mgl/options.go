@@ -54,7 +54,8 @@ type Options struct {
 	// Workers is the number of parallel evaluation threads (Section
 	// 3.5). Zero means GOMAXPROCS. Workers only bounds concurrency:
 	// batch composition and commit order are worker-independent, so
-	// the result is byte-identical for every worker count.
+	// the result is byte-identical for every worker count. A batch of
+	// fewer windows than Workers is evaluated one candidate row per task.
 	Workers int
 	// BatchCap is the capacity of the scheduler's processing list L_p.
 	// It shapes batch composition and therefore the (deterministic)

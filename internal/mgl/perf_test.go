@@ -81,7 +81,10 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 // A warm window evaluation must not touch the heap: the scratch pool
 // owns every buffer (rows are enumerated without storage, reps, chains,
 // curve breakpoints and moves are reused). GC is disabled during the
-// measurement so a pool flush cannot produce a false positive.
+// measurement so a pool flush cannot produce a false positive. The
+// second case evaluates the same window as a split one-window batch at
+// Workers 2: row tasks, dispatch to the helper, replay and the
+// re-evaluation of the winner.
 func TestBestInWindowZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
@@ -100,36 +103,58 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(d, grid, Options{Workers: 1})
-	// Register everything except the target, as mid-run evaluation sees it.
-	for i := range d.Cells {
-		if model.CellID(i) == tgt {
-			continue
+	legalizer := func(workers int) *Legalizer {
+		l := New(d, grid, Options{Workers: workers})
+		// Register everything except the target, as mid-run evaluation sees it.
+		for i := range d.Cells {
+			if model.CellID(i) == tgt {
+				continue
+			}
+			if err := l.occ.insert(model.CellID(i)); err != nil {
+				// Random cells may overlap; occupancy insert does not care.
+				t.Fatalf("insert: %v", err)
+			}
 		}
-		if err := l.occ.insert(model.CellID(i)); err != nil {
-			// Random cells may overlap; occupancy insert does not care.
-			t.Fatalf("insert: %v", err)
+		return l
+	}
+	zeroAlloc := func(name string, eval func()) {
+		t.Helper()
+		// Warm up the scratch pool and the reused buffers.
+		for i := 0; i < 8; i++ {
+			eval()
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		if allocs := testing.AllocsPerRun(200, eval); allocs != 0 {
+			t.Fatalf("%s allocates %.2f objects/call after warm-up, want 0", name, allocs)
 		}
 	}
+
+	l := legalizer(1)
 	win := l.windowFor(tgt, 2)
 	var dst []move
-	eval := func() {
+	zeroAlloc("bestInWindow", func() {
 		if _, ok := l.bestInWindow(tgt, win, &dst); !ok {
 			t.Fatal("no feasible plan in window")
 		}
-	}
-	// Warm up the scratch pool and dst capacity.
-	for i := 0; i < 8; i++ {
-		eval()
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, eval); allocs != 0 {
-		t.Fatalf("bestInWindow allocates %.2f objects/call after warm-up, want 0", allocs)
-	}
+	})
+
+	ls := legalizer(2)
+	ls.rs.ensure(len(d.Cells), ls.opt.BatchCap)
+	ls.rs.batch = append(ls.rs.batch, tgt)
+	ls.rs.wins = append(ls.rs.wins, win)
+	ctx := context.Background()
+	pool := ls.startPool(ctx)
+	defer pool.stop()
+	zeroAlloc("a split batch", func() {
+		if err := ls.evaluate(ctx, pool); err != nil || !ls.rs.oks[0] || !ls.rs.split {
+			t.Fatalf("split evaluation: err %v, ok %v, split %v", err, ls.rs.oks[0], ls.rs.split)
+		}
+	})
 }
 
 // The persistent worker pool must be torn down on every RunContext
-// return path: normal completion, typed error, and cancellation.
+// return path: normal completion, typed error, and cancellation, with
+// window tasks and with row tasks (BatchCap 1 splits every batch).
 func TestPoolShutdownNoGoroutineLeak(t *testing.T) {
 	check := func(name string, run func() error, wantErr bool) {
 		t.Helper()
@@ -144,55 +169,58 @@ func TestPoolShutdownNoGoroutineLeak(t *testing.T) {
 		testutil.CheckNoLeaks(t, before)
 	}
 
-	check("normal", func() error {
-		rng := rand.New(rand.NewSource(12))
-		d := randomDesign(rng, 120, 10, 70, false)
-		grid, err := seg.Build(d)
-		if err != nil {
-			return err
-		}
-		return New(d, grid, Options{Workers: 4}).Run()
-	}, false)
+	for _, batchCap := range []int{0, 1} {
+		check("normal", func() error {
+			rng := rand.New(rand.NewSource(12))
+			d := randomDesign(rng, 120, 10, 70, false)
+			grid, err := seg.Build(d)
+			if err != nil {
+				return err
+			}
+			return New(d, grid, Options{Workers: 4, BatchCap: batchCap}).Run()
+		}, false)
 
-	check("error", func() error {
-		// 6 width-2 cells in a 10-site row: infeasible, typed error.
-		d := newDesign(10, 1)
-		for i := 0; i < 6; i++ {
-			addCell(d, 0, 0, 0, 0)
-		}
-		grid, err := seg.Build(d)
-		if err != nil {
+		check("error", func() error {
+			// 6 width-2 cells in a 10-site row: infeasible, typed error.
+			d := newDesign(10, 1)
+			for i := 0; i < 6; i++ {
+				addCell(d, 0, 0, 0, 0)
+			}
+			grid, err := seg.Build(d)
+			if err != nil {
+				return err
+			}
+			err = New(d, grid, Options{Workers: 4, BatchCap: batchCap}).Run()
+			var inf *InfeasibleError
+			if !errors.As(err, &inf) {
+				t.Fatalf("error path: got %v, want *InfeasibleError", err)
+			}
 			return err
-		}
-		err = New(d, grid, Options{Workers: 4}).Run()
-		var inf *InfeasibleError
-		if !errors.As(err, &inf) {
-			t.Fatalf("error path: got %v, want *InfeasibleError", err)
-		}
-		return err
-	}, true)
+		}, true)
 
-	check("cancelled", func() error {
-		rng := rand.New(rand.NewSource(13))
-		d := randomDesign(rng, 120, 10, 70, false)
-		grid, err := seg.Build(d)
-		if err != nil {
+		check("cancelled", func() error {
+			rng := rand.New(rand.NewSource(13))
+			d := randomDesign(rng, 120, 10, 70, false)
+			grid, err := seg.Build(d)
+			if err != nil {
+				return err
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			l := New(d, grid, Options{
+				Workers:  4,
+				BatchCap: batchCap,
+				DebugAfterBatch: func([]model.CellID) bool {
+					cancel()
+					return true
+				},
+			})
+			err = l.RunContext(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled path: got %v, want context.Canceled", err)
+			}
 			return err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		l := New(d, grid, Options{
-			Workers: 4,
-			DebugAfterBatch: func([]model.CellID) bool {
-				cancel()
-				return true
-			},
-		})
-		err = l.RunContext(ctx)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled path: got %v, want context.Canceled", err)
-		}
-		return err
-	}, true)
+		}, true)
+	}
 }
 
 // The interval sweep over chosen windows must accept and reject exactly

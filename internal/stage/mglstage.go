@@ -53,10 +53,18 @@ func (s *MGLStage) Run(ctx context.Context, pc *PipelineContext) error {
 }
 
 func (s *MGLStage) Counters(pc *PipelineContext) map[string]int64 {
+	st := &pc.MGLStats
 	return map[string]int64{
-		"cells_placed":   int64(pc.MGLStats.Placed),
-		"window_retries": int64(pc.MGLStats.WindowRetries),
-		"batches":        int64(pc.MGLStats.Batches),
-		"eval_workers":   int64(pc.MGLStats.Workers),
+		"cells_placed":         int64(st.Placed),
+		"window_retries":       int64(st.WindowRetries),
+		"quality_retries":      int64(st.QualityRetries),
+		"commit_attempt_0":     int64(st.CommitAttempts[0]),
+		"commit_attempt_1":     int64(st.CommitAttempts[1]),
+		"commit_attempt_2":     int64(st.CommitAttempts[2]),
+		"commit_attempt_3plus": int64(st.CommitAttempts[3]),
+		"batches":              int64(st.Batches),
+		"split_batches":        int64(st.SplitBatches),
+		"speculative_rows":     int64(st.SpeculativeRows),
+		"eval_workers":         int64(st.Workers),
 	}
 }
