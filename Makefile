@@ -114,28 +114,23 @@ mclbench-check:
 	cd mclbench && GOWORK=off $(GO) test ./...
 
 # One-iteration run of the MGL throughput bench plus the mcf solver
-# sweep in smoke mode (tiny instances, one iteration per config, full
-# cross-solver validation): catches bit-rot in the bench harnesses
+# sweep in smoke mode (tiny instances, one iteration per config, every
+# instance certified optimal): catches bit-rot in the bench harnesses
 # themselves without paying for a real measurement. CI runs this on
 # every push.
 bench-smoke:
 	$(GO) test -bench MGLThroughput -benchtime 1x -run '^$$' .
 	$(GO) run ./cmd/benchjson -mode mcf -smoke -out /dev/null
 
-# The benchmark-trajectory harness: sweeps MGL worker counts into
-# BENCH_mgl.json (ns/op, allocs/op, cells/sec, speedup vs workers=1),
-# shard concurrencies into BENCH_shard.json (ns/op, per-region
-# wall-clock breakdown, speedup vs shards=1), server latencies into
-# BENCH_serve.json, the min-cost-flow solver layer (the production
-# simplex on fresh and reused solvers, the reference solvers,
-# cross-solver validation) into BENCH_mcf.json, and the mclegal-vet
-# analyzer suite itself (one shared program load plus each analyzer's
-# incremental cost) into BENCH_vet.json. Compare the committed baselines against a fresh run
-# to judge a perf change; see docs/PERFORMANCE.md.
+# The trajectory files of the layers no request benchmark measures:
+# the min-cost-flow solver layer (the production simplex on fresh and
+# reused solvers, each instance certified optimal) into BENCH_mcf.json,
+# and the mclegal-vet analyzer suite itself (one shared program load
+# plus each analyzer's incremental cost) into BENCH_vet.json. Requests
+# end to end are mclbench's (BENCHMARK.json). Compare the committed
+# baselines against a fresh run to judge a perf change; see
+# docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/benchjson -mode mgl -out BENCH_mgl.json
-	$(GO) run ./cmd/benchjson -mode shard -out BENCH_shard.json
-	$(GO) run ./cmd/benchjson -mode serve -out BENCH_serve.json
 	$(GO) run ./cmd/benchjson -mode mcf -out BENCH_mcf.json
 	$(GO) run ./cmd/benchjson -mode vet -out BENCH_vet.json
 

@@ -386,8 +386,8 @@ func BenchmarkMGLThroughput(b *testing.B) {
 }
 
 // BenchmarkWorkersSweep sweeps the MGL worker count to expose the
-// parallel-scaling trajectory; `make bench-json` persists the same
-// sweep (via cmd/benchjson) into BENCH_mgl.json.
+// parallel-scaling trajectory. It is the only worker-count sweep: the
+// request benchmark (mclbench) runs each workload at one fixed count.
 func BenchmarkWorkersSweep(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { mglThroughputRun(b, w) })

@@ -3,16 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
+
+	"mclegal/internal/analysis"
 )
 
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range [][]string{
+		{},
 		{"-mode", "bogus"},
-		{"-workers", "zero,"},
-		{"-workers", "0"},
-		{"-mode", "shard", "-shards", "nope"},
-		{"-mode", "shard", "-shards", "-1"},
+		{"-mode", "mgl"},
+		{"-mode", "shard"},
+		{"-mode", "serve"},
+		{"-workers", "2"},
+		{"-shards", "2"},
+		{"-scale", "0.01"},
 		{"-no-such-flag"},
 	} {
 		var out bytes.Buffer
@@ -22,11 +28,10 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// The mcf smoke sweep must survive its own cross-solver validation and
-// produce a well-formed report: all three families, the fresh and
-// reused simplex rows plus the two reference solvers, zero allocs on
-// the reused simplex row, and an SSP row carrying its own (smaller)
-// instance size.
+// The mcf smoke sweep must survive its own validation and produce a
+// well-formed report: all three families, exactly the fresh and reused
+// simplex rows, zero allocs on the reused row, and a certified simplex
+// (plus the Hungarian cross-check on the assignment family).
 func TestRunMCFSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmark measurements")
@@ -43,46 +48,55 @@ func TestRunMCFSmoke(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 	for _, fam := range rep.Families {
-		if len(fam.Runs) != 4 {
-			t.Errorf("%s: %d runs, want 4", fam.Family, len(fam.Runs))
-		}
-		if len(fam.Validation.Solvers) < 3 {
-			t.Errorf("%s: only %v validated", fam.Family, fam.Validation.Solvers)
-		}
+		var modes []string
 		for _, r := range fam.Runs {
-			if r.Mode == "cold-reused" && r.AllocsPerOp != 0 {
-				t.Errorf("%s %s %s: %d allocs/op, want 0",
-					fam.Family, r.Solver, r.Mode, r.AllocsPerOp)
-			}
-			if r.Solver == "ssp" && r.Nodes >= fam.Nodes {
-				t.Errorf("%s: ssp row claims bench size %d", fam.Family, r.Nodes)
-			}
+			modes = append(modes, r.Mode)
 		}
-		if fam.ColdAllocs == 0 || fam.ReusedAllocs != 0 {
-			t.Errorf("%s: cold %d / reused %d allocs/op, want >0 / 0",
-				fam.Family, fam.ColdAllocs, fam.ReusedAllocs)
+		if !slices.Equal(modes, []string{"cold-fresh", "cold-reused"}) {
+			t.Errorf("%s: run modes %v, want [cold-fresh cold-reused]", fam.Family, modes)
+		}
+		if len(fam.Runs) == 2 && (fam.Runs[0].AllocsPerOp == 0 || fam.Runs[1].AllocsPerOp != 0) {
+			t.Errorf("%s: fresh %d / reused %d allocs/op, want >0 / 0",
+				fam.Family, fam.Runs[0].AllocsPerOp, fam.Runs[1].AllocsPerOp)
+		}
+		want := []string{"simplex"}
+		if fam.Family == "assignment" {
+			want = append(want, "matching/hungarian")
+		}
+		if !slices.Equal(fam.Validation.Solvers, want) {
+			t.Errorf("%s: validated by %v, want %v", fam.Family, fam.Validation.Solvers, want)
 		}
 	}
 }
 
-// A minimal shard sweep must produce a well-formed report with the
-// per-shard breakdown and an honest per-run GOMAXPROCS.
-func TestRunShardSweepToStdout(t *testing.T) {
+// The vet sweep must time every analyzer of the suite, in suite order,
+// over a non-empty program, and find the tree clean.
+func TestRunVetToStdout(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a real benchmark measurement")
+		t.Skip("loads and analyzes the scoped program")
 	}
 	var out bytes.Buffer
-	if code := run([]string{"-mode", "shard", "-shards", "1", "-scale", "0.002", "-out", "-"}, &out); code != 0 {
+	if code := run([]string{"-mode", "vet", "-out", "-"}, &out); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	var rep shardReport
+	var rep vetReport
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if len(rep.Runs) != 1 || rep.Runs[0].GOMAXPROCS < 1 || rep.Runs[0].Regions < 2 {
-		t.Fatalf("report runs = %+v", rep.Runs)
+	if rep.Packages == 0 {
+		t.Errorf("packages = 0")
 	}
-	if len(rep.Runs[0].Detail) != rep.Runs[0].Regions || rep.Runs[0].MaxShardNs == 0 {
-		t.Errorf("missing per-shard breakdown: %+v", rep.Runs[0])
+	var got, want []string
+	for _, r := range rep.Runs {
+		got = append(got, r.Analyzer)
+		if r.Diagnostics != 0 {
+			t.Errorf("%s: %d diagnostics on the clean tree", r.Analyzer, r.Diagnostics)
+		}
+	}
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("analyzers = %v, want %v", got, want)
 	}
 }

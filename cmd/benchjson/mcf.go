@@ -1,16 +1,12 @@
 // mcf mode: the solver-layer sweep behind BENCH_mcf.json. It measures
 // the production network simplex, (*mcf.Solver).Solve, on a fresh and
-// on a reused Solver, plus the two reference solvers, over the three
-// benchmark graph families (mcf/families.go). Every family is
-// cross-validated before a single number is recorded: on its
-// validation instance the simplex, cost-scaling, SSP and (assignment
-// only) the Hungarian matching solver must all report the same optimal
-// cost, or the sweep aborts.
-//
-// SSP is benchmarked at the (smaller) validation size — its
-// Bellman-Ford inner loop does not finish in sensible time at the
-// simplex bench sizes — so every run records its own nodes/arcs; rows
-// are only comparable at equal sizes.
+// on a reused Solver over the three benchmark graph families
+// (mcf/families.go). Every family's benchmark instance is certified
+// before a single number is recorded: the simplex solution must pass
+// the complementary-slackness check VerifyOptimal, and on the
+// assignment family the Hungarian matching solver must find the same
+// optimal cost, or the sweep aborts. A certificate does not depend on
+// a second solver, so the yardstick does not move when the code does.
 //
 // Times come from testing.Benchmark. Allocation counts come from
 // testing.AllocsPerRun, which pins GOMAXPROCS to 1 and discards a
@@ -35,24 +31,19 @@ import (
 
 // mcfRun is one measured configuration on one family.
 type mcfRun struct {
-	Solver string `json:"solver"` // simplex | costscaling | ssp
 	// Mode: cold-fresh allocates a solver per solve, cold-reused
-	// solves the same instance on one long-lived Solver (simplex only).
+	// solves the same instance on one long-lived Solver.
 	Mode        string `json:"mode"`
-	Nodes       int    `json:"nodes"`
-	Arcs        int    `json:"arcs"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
-	Pivots      int    `json:"pivots,omitempty"` // pivots per solve (simplex only)
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 }
 
-// mcfValidation records the cross-solver agreement that gates the
-// family's benchmark rows.
+// mcfValidation records the checks that gate the family's benchmark
+// rows.
 type mcfValidation struct {
-	Nodes int `json:"nodes"`
-	Arcs  int `json:"arcs"`
-	// Cost is the optimal objective every listed solver agreed on.
+	// Cost is the certified optimal objective of the benchmark
+	// instance, which every listed solver reached.
 	Cost    int64    `json:"cost"`
 	Solvers []string `json:"solvers"`
 }
@@ -61,6 +52,8 @@ type mcfFamilySummary struct {
 	Family string `json:"family"`
 	Nodes  int    `json:"nodes"`
 	Arcs   int    `json:"arcs"`
+	// Pivots per solve; fresh and reused solves pivot identically.
+	Pivots int `json:"pivots"`
 	// Allocation economy of Solver reuse vs a fresh solve.
 	ColdAllocs   int64         `json:"cold_allocs_per_op"`
 	ReusedAllocs int64         `json:"reused_allocs_per_op"`
@@ -78,33 +71,32 @@ type mcfReport struct {
 	Families  []mcfFamilySummary `json:"families"`
 }
 
-// mcfFamily pairs a benchmark instance with the smaller validation
-// instance the cross-solver agreement runs on.
+// mcfFamily is one benchmark instance.
 type mcfFamily struct {
-	name  string
-	bench *mcf.Graph
-	valid *mcf.Graph
-	// assignN is the matrix size when the family is an assignment
-	// instance (enables the Hungarian cross-check), 0 otherwise.
-	assignN int
+	name string
+	g    *mcf.Graph
+	// assignment marks the n×n assignment instance (nodes 0..n-1
+	// supply, arc i*n+j joins i to n+j), which enables the Hungarian
+	// cross-check.
+	assignment bool
 }
 
 func mcfFamilies(smoke bool) []mcfFamily {
 	if smoke {
 		return []mcfFamily{
-			{name: "refinement", bench: mcf.RefinementGraph(60, 7), valid: mcf.RefinementGraph(48, 3)},
-			{name: "assignment", bench: mcf.AssignmentGraph(12, 9), valid: mcf.AssignmentGraph(10, 4), assignN: 10},
-			{name: "circulation", bench: mcf.CirculationGraph(40, 160, 11), valid: mcf.CirculationGraph(32, 128, 5)},
+			{name: "refinement", g: mcf.RefinementGraph(60, 7)},
+			{name: "assignment", g: mcf.AssignmentGraph(12, 9), assignment: true},
+			{name: "circulation", g: mcf.CirculationGraph(40, 160, 11)},
 		}
 	}
 	return []mcfFamily{
-		{name: "refinement", bench: mcf.RefinementGraph(5000, 7), valid: mcf.RefinementGraph(300, 3)},
-		{name: "assignment", bench: mcf.AssignmentGraph(150, 9), valid: mcf.AssignmentGraph(60, 4), assignN: 60},
-		{name: "circulation", bench: mcf.CirculationGraph(2000, 10000, 11), valid: mcf.CirculationGraph(200, 800, 5)},
+		{name: "refinement", g: mcf.RefinementGraph(5000, 7)},
+		{name: "assignment", g: mcf.AssignmentGraph(150, 9), assignment: true},
+		{name: "circulation", g: mcf.CirculationGraph(2000, 10000, 11)},
 	}
 }
 
-// allocRuns is the testing.AllocsPerRun count per row. The solvers'
+// allocRuns is the testing.AllocsPerRun count per row. The solver's
 // allocation counts are deterministic, so a few runs suffice.
 const allocRuns = 5
 
@@ -135,42 +127,32 @@ func sweepMCF(smoke bool) mcfReport {
 }
 
 func sweepMCFFamily(fam mcfFamily) mcfFamilySummary {
-	sum := mcfFamilySummary{
-		Family:     fam.name,
-		Nodes:      fam.bench.NumNodes(),
-		Arcs:       fam.bench.NumArcs(),
-		Validation: validateMCFFamily(fam),
-	}
-	log.Printf("%s: %d nodes, %d arcs (validated cost %d at %d nodes)",
-		fam.name, sum.Nodes, sum.Arcs, sum.Validation.Cost, sum.Validation.Nodes)
-
-	g := fam.bench
+	g := fam.g
 	ctx := context.Background()
 	res, err := mcf.NewSolver().Solve(ctx, g)
 	if err != nil {
 		log.Fatalf("%s: simplex: %v", fam.name, err)
 	}
-	pivots := res.Pivots
-	fresh := measureMCF(g, "simplex", "cold-fresh", pivots, func() error {
+	sum := mcfFamilySummary{
+		Family:     fam.name,
+		Nodes:      g.NumNodes(),
+		Arcs:       g.NumArcs(),
+		Pivots:     res.Pivots,
+		Validation: validateMCFFamily(fam, res),
+	}
+	log.Printf("%s: %d nodes, %d arcs, %d pivots (certified cost %d)",
+		fam.name, sum.Nodes, sum.Arcs, sum.Pivots, sum.Validation.Cost)
+
+	fresh := measureMCF(fam.name, "cold-fresh", func() error {
 		_, err := mcf.NewSolver().Solve(ctx, g)
 		return err
 	})
 	sv := mcf.NewSolver()
-	reused := measureMCF(g, "simplex", "cold-reused", pivots, func() error {
+	reused := measureMCF(fam.name, "cold-reused", func() error {
 		_, err := sv.Solve(ctx, g)
 		return err
 	})
-	costScaling := measureMCF(g, "costscaling", "cold-fresh", 0, func() error {
-		_, err := g.SolveCostScaling()
-		return err
-	})
-	// SSP at validation size only; its nodes/arcs fields say so.
-	vg := fam.valid
-	ssp := measureMCF(vg, "ssp", "cold-fresh", 0, func() error {
-		_, err := vg.SolveSSP()
-		return err
-	})
-	sum.Runs = []mcfRun{fresh, reused, costScaling, ssp}
+	sum.Runs = []mcfRun{fresh, reused}
 
 	sum.ColdAllocs = fresh.AllocsPerOp
 	sum.ReusedAllocs = reused.AllocsPerOp
@@ -183,35 +165,17 @@ func sweepMCFFamily(fam mcfFamily) mcfFamilySummary {
 	return sum
 }
 
-// validateMCFFamily proves every solver agrees on the validation
-// instance's optimal cost, aborting the sweep otherwise.
-func validateMCFFamily(fam mcfFamily) mcfValidation {
-	g := fam.valid
-	val := mcfValidation{Nodes: g.NumNodes(), Arcs: g.NumArcs()}
-	check := func(name string, res *mcf.Result, err error) {
-		if err != nil {
-			log.Fatalf("%s validation: %s: %v", fam.name, name, err)
-		}
-		if verr := g.VerifyOptimal(res); verr != nil {
-			log.Fatalf("%s validation: %s certificate: %v", fam.name, name, verr)
-		}
-		if len(val.Solvers) == 0 {
-			val.Cost = res.Cost
-		} else if res.Cost != val.Cost {
-			log.Fatalf("%s validation: %s found cost %d, others found %d",
-				fam.name, name, res.Cost, val.Cost)
-		}
-		val.Solvers = append(val.Solvers, name)
+// validateMCFFamily certifies the simplex result on the family's
+// benchmark instance and, on the assignment family, checks it against
+// the Hungarian matching solver, aborting the sweep on any failure.
+func validateMCFFamily(fam mcfFamily, res *mcf.Result) mcfValidation {
+	g := fam.g
+	if err := g.VerifyOptimal(res); err != nil {
+		log.Fatalf("%s validation: simplex certificate: %v", fam.name, err)
 	}
-	res, err := mcf.NewSolver().Solve(context.Background(), g)
-	check("simplex", res, err)
-	res, err = g.SolveCostScaling()
-	check("costscaling", res, err)
-	res, err = g.SolveSSP()
-	check("ssp", res, err)
-
-	if fam.assignN > 0 {
-		n := fam.assignN
+	val := mcfValidation{Cost: res.Cost, Solvers: []string{"simplex"}}
+	if fam.assignment {
+		n := g.NumNodes() / 2
 		var msv matching.Solver
 		_, total, ok, err := msv.Solve(context.Background(), n, func(i, j int) int64 {
 			return g.Arc(i*n + j).Cost
@@ -220,7 +184,7 @@ func validateMCFFamily(fam mcfFamily) mcfValidation {
 			log.Fatalf("%s validation: matching found no perfect assignment (err %v)", fam.name, err)
 		}
 		if total != val.Cost {
-			log.Fatalf("%s validation: matching/hungarian found cost %d, others found %d",
+			log.Fatalf("%s validation: matching/hungarian found cost %d, simplex found %d",
 				fam.name, total, val.Cost)
 		}
 		val.Solvers = append(val.Solvers, "matching/hungarian")
@@ -230,9 +194,9 @@ func validateMCFFamily(fam mcfFamily) mcfValidation {
 
 // measureMCF times solve with testing.Benchmark and counts its
 // allocations with testing.AllocsPerRun.
-func measureMCF(g *mcf.Graph, solver, mode string, pivots int, solve func() error) mcfRun {
+func measureMCF(family, mode string, solve func() error) mcfRun {
 	if err := solve(); err != nil {
-		log.Fatalf("%s %s: %v", solver, mode, err)
+		log.Fatalf("%s %s: %v", family, mode, err)
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -243,21 +207,16 @@ func measureMCF(g *mcf.Graph, solver, mode string, pivots int, solve func() erro
 	})
 	allocs := testing.AllocsPerRun(allocRuns, func() {
 		if err := solve(); err != nil {
-			log.Fatalf("%s %s: %v", solver, mode, err)
+			log.Fatalf("%s %s: %v", family, mode, err)
 		}
 	})
 	run := mcfRun{
-		Solver:      solver,
 		Mode:        mode,
-		Nodes:       g.NumNodes(),
-		Arcs:        g.NumArcs(),
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: int64(allocs),
-		Pivots:      pivots,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
-	log.Printf("  %-12s %-12s %12d ns/op  %8d allocs/op  pivots %d",
-		solver, mode, run.NsPerOp, run.AllocsPerOp, run.Pivots)
+	log.Printf("  %-12s %12d ns/op  %8d allocs/op", mode, run.NsPerOp, run.AllocsPerOp)
 	return run
 }
 

@@ -1,8 +1,9 @@
 // Package maporder flags range statements over maps in the
 // deterministic core packages. Go randomizes map iteration order, so
 // any map range whose effects depend on order silently breaks the
-// byte-identical-output guarantee the benchmark trajectory
-// (BENCH_mgl.json) and the parallel-regression suite rely on.
+// byte-identical-output guarantee the placement fingerprint
+// (TestPlacementFingerprint) and the parallel-regression suite rely
+// on.
 //
 // Three shapes are accepted without a directive:
 //

@@ -1,10 +1,9 @@
 // Package typederr requires errors constructed in the gate-boundary
 // package (internal/stage) to be the typed kinds callers can dispatch
-// on with errors.As — GateError, PanicError, AuditError,
-// MetricRegressionError, PolicyError — rather than bare fmt.Errorf or
-// errors.New values. Bare errors erase the machine-readable failure
-// taxonomy the recovery policies and the CLI exit codes are built on
-// (docs/ROBUSTNESS.md).
+// on with errors.As — GateError, PanicError, AuditError, PolicyError —
+// rather than bare fmt.Errorf or errors.New values. Bare errors erase
+// the machine-readable failure taxonomy the recovery policies and the
+// CLI exit codes are built on (docs/ROBUSTNESS.md).
 //
 // fmt.Errorf with a %w verb is accepted: wrapping preserves the typed
 // cause for errors.As. Anything else needs a //mclegal:typederr <why>
@@ -52,14 +51,14 @@ func run(pass *framework.Pass) error {
 			case fn.Pkg().Path() == "errors" && fn.Name() == "New":
 				if !pass.Suppressed("typederr", call.Pos()) {
 					pass.Reportf(call.Pos(),
-						"errors.New crosses the stage gate boundary untyped: return a typed error (GateError, PanicError, AuditError, MetricRegressionError, PolicyError) or justify with //mclegal:typederr <why>")
+						"errors.New crosses the stage gate boundary untyped: return a typed error (GateError, PanicError, AuditError, PolicyError) or justify with //mclegal:typederr <why>")
 				}
 			case fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf":
 				if wrapsCause(call) || pass.Suppressed("typederr", call.Pos()) {
 					return true
 				}
 				pass.Reportf(call.Pos(),
-					"bare fmt.Errorf crosses the stage gate boundary: return a typed error (GateError, PanicError, AuditError, MetricRegressionError, PolicyError) or wrap a typed cause with %%w")
+					"bare fmt.Errorf crosses the stage gate boundary: return a typed error (GateError, PanicError, AuditError, PolicyError) or wrap a typed cause with %%w")
 			}
 			return true
 		})

@@ -1,5 +1,5 @@
 // Benchmark graph families. These are the instance shapes BENCH_mcf.json
-// measures and the cross-solver validation covers: the refinement
+// measures and the cross-solver agreement tests cover: the refinement
 // network of Section 3.3, dense assignment networks (the min-cost-flow
 // form of the Section 3.2 matchings), and random circulations. They
 // live in the package (not a _test file) so cmd/benchjson and the

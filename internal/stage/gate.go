@@ -13,12 +13,12 @@ import (
 
 // This file is the pipeline's resilience layer: legality gates that
 // snapshot cell positions before a stage, verify the paper's per-stage
-// contract after it (every stage must leave the placement legal, and
-// the matching stage must not create new violations or a larger
-// maximum displacement, Sections 3.1-3.3), and on failure roll the
-// stage back; recovery policies that decide what happens next; and a
-// recover() boundary turning stage panics into typed errors so no
-// input can crash the process.
+// contract after it (every stage must leave the placement legal,
+// Sections 3.1-3.3, and pass the metric check its composer registered:
+// the flow checks that matching does not raise the summed φ cost), and
+// on failure roll the stage back; recovery policies that decide what
+// happens next; and a recover() boundary turning stage panics into
+// typed errors so no input can crash the process.
 
 // RecoveryPolicy selects what the pipeline does when a gated stage
 // fails (stage error, panic, legality audit, or metric regression).
@@ -210,20 +210,6 @@ func (e *AuditError) Error() string {
 	return fmt.Sprintf("stage %s: left %d legality violations (first: %s)", e.Stage, e.NumViolations, e.First)
 }
 
-// MetricRegressionError reports a stage worsening a metric it is
-// guaranteed not to worsen (e.g. matching and maximum displacement,
-// paper Section 3.2).
-type MetricRegressionError struct {
-	Metric string
-	Unit   string
-	Before float64
-	After  float64
-}
-
-func (e *MetricRegressionError) Error() string {
-	return fmt.Sprintf("%s regressed from %.3f to %.3f %s", e.Metric, e.Before, e.After, e.Unit)
-}
-
 // RunReport summarizes the resilience layer's view of a finished run.
 type RunReport struct {
 	// Status is StatusLegal when no gate intervened, StatusRecovered
@@ -356,17 +342,6 @@ func injectIllegalMove(pc *PipelineContext) {
 		d.Cells[first].Y = d.Cells[i].Y
 		return
 	}
-}
-
-// NoMaxDispRegression is the metric-regression check of the matching
-// stage: paper Section 3.2 guarantees its swaps cannot create any new
-// violation, and in particular cannot increase the maximum
-// displacement the matching minimizes.
-func NoMaxDispRegression(before, after eval.Metrics) error {
-	if after.MaxDisp > before.MaxDisp {
-		return &MetricRegressionError{Metric: "max displacement", Unit: "rows", Before: before.MaxDisp, After: after.MaxDisp}
-	}
-	return nil
 }
 
 // FuncStage adapts a plain function to the Stage interface; the flow

@@ -121,8 +121,8 @@ func TestInjectedStageError(t *testing.T) {
 	}
 }
 
-// A metric regression (max displacement growing) trips the gate even
-// though the placement stays legal.
+// A failing metric check (here: max displacement growing) trips the
+// gate even though the placement stays legal.
 func TestMetricRegressionGate(t *testing.T) {
 	pc := legalContext(t)
 	drift := &fakeStage{name: "drift", onRun: func(pc *PipelineContext) {
@@ -130,9 +130,16 @@ func TestMetricRegressionGate(t *testing.T) {
 		pc.Design.Cells[0].X = pc.Design.Cells[0].GX + 20
 	}}
 	p := Pipeline{
-		Stages:       []Stage{drift},
-		Verify:       true,
-		MetricChecks: map[string]func(before, after eval.Metrics) error{"drift": NoMaxDispRegression},
+		Stages: []Stage{drift},
+		Verify: true,
+		MetricChecks: map[string]func(before, after eval.Metrics) error{
+			"drift": func(before, after eval.Metrics) error {
+				if after.MaxDisp > before.MaxDisp {
+					return errors.New("max displacement grew")
+				}
+				return nil
+			},
+		},
 	}
 	_, _, err := p.RunWithReport(context.Background(), pc)
 	var ge *GateError
