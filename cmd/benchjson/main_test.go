@@ -70,7 +70,8 @@ func TestRunMCFSmoke(t *testing.T) {
 }
 
 // The vet sweep must time every analyzer of the suite, in suite order,
-// over a non-empty program, and find the tree clean.
+// over a non-empty program, find the tree clean, and stamp the machine
+// it ran on.
 func TestRunVetToStdout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the scoped program")
@@ -85,6 +86,9 @@ func TestRunVetToStdout(t *testing.T) {
 	}
 	if rep.Packages == 0 {
 		t.Errorf("packages = 0")
+	}
+	if rep.CPUModel == "" {
+		t.Errorf("no cpu_model stamp")
 	}
 	var got, want []string
 	for _, r := range rep.Runs {

@@ -29,6 +29,7 @@ type vetRun struct {
 type vetReport struct {
 	Bench     string `json:"bench"`
 	Packages  int    `json:"packages"`
+	CPUModel  string `json:"cpu_model"`
 	NumCPU    int    `json:"numcpu"`
 	GoVersion string `json:"goversion"`
 	// LoadNs is the one-time cost of loading and type-checking the
@@ -73,6 +74,7 @@ func sweepVet() vetReport {
 	rep := vetReport{
 		Bench:     "VetSuite",
 		Packages:  len(paths),
+		CPUModel:  cpuModel(),
 		NumCPU:    runtime.NumCPU(),
 		GoVersion: runtime.Version(),
 	}

@@ -24,15 +24,6 @@ type plan struct {
 	ok     bool
 }
 
-// chainCell is one movable local cell of a push chain.
-type chainCell struct {
-	id  model.CellID
-	off int64 // longest-path offset from the target x (includes spacing)
-	// bound is minPos for left chains (lowest legal left edge) and
-	// maxPos for right chains (highest legal left edge).
-	bound int64
-}
-
 // spacing returns the edge-spacing rule in sites between a left cell of
 // type a and a right cell of type b.
 func (l *Legalizer) spacing(a, b model.CellTypeID) int64 {
@@ -85,14 +76,6 @@ func (l *Legalizer) isLocal(id model.CellID, win geom.Rect) bool {
 		x+int(h.W[id]) <= win.XHi && y+int(h.H[id]) <= win.YHi
 }
 
-// leftNeighborIdx returns, for segment sid, the index in the occupancy
-// list of the nearest cell whose left edge is <= x (-1 if none).
-func (l *Legalizer) leftNeighborIdx(sid int32, x int) int {
-	return l.occ.splitAt(sid, x) - 1
-}
-
-const chainInfeasible = int64(1) << 60
-
 func abs64(x int64) int64 {
 	if x < 0 {
 		return -x
@@ -100,317 +83,237 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// Chain-membership helpers on scratch. These were closures capturing
-// the chain slice; as methods over explicit state they keep the chain
-// builders allocation-free.
+// side names one half of a push chain: left cells are pushed toward
+// lower x, right cells toward higher x. The chain code serves both
+// halves by mirroring the right one (see pos), so that on either side
+// a pushed cell moves to a lower position.
+type side int
 
-// chainAt returns the chain index of id if it carries the current
-// stamp.
-func (s *scratch) chainAt(id model.CellID) (int32, bool) {
-	if s.inChain[id] == s.stamp {
-		return s.chainIdx[id], true
+const (
+	left side = iota
+	right
+)
+
+// away returns lk's neighbour on side s: the cell lk's owner pushes.
+func (lk link) away(s side) model.CellID {
+	if s == right {
+		return lk.right
 	}
-	return 0, false
+	return lk.left
 }
 
-// bumpOff raises the seeded frontier offset requirement of id.
-func (s *scratch) bumpOff(id model.CellID, off int64) {
-	if s.offStamp[id] != s.stamp || off > s.offReq[id] {
-		s.offStamp[id] = s.stamp
-		s.offReq[id] = off
+// pos returns c's position on side s: its left edge on the left, its
+// negated right edge on the right.
+func (l *Legalizer) pos(s side, c model.CellID) int64 {
+	x := int64(l.hot.X[c])
+	if s == right {
+		return -x - int64(l.hot.W[c])
+	}
+	return x
+}
+
+// gap returns how far apart cell near must stay from its neighbour far
+// on side s, as positions on that side: far's width plus the edge
+// spacing between the two.
+func (l *Legalizer) gap(s side, far, near model.CellID) int64 {
+	ft, nt := l.hot.Type[far], l.hot.Type[near]
+	if s == right {
+		ft, nt = nt, ft
+	}
+	return int64(l.hot.W[far]) + l.spacing(ft, nt)
+}
+
+// segEnd returns segment sid's padded window edge (winPadLo, winPadHi)
+// on side s, as a position on that side.
+func (l *Legalizer) segEnd(s side, win geom.Rect, sid int32) int64 {
+	if s == right {
+		return -l.winPadHi(win, l.grid.Hi(sid))
+	}
+	return l.winPadLo(win, l.grid.Lo(sid))
+}
+
+// member reports whether cell c belongs to a push chain: any local cell
+// of an uncapped chain, the cells capChain marked in a capped one.
+func (l *Legalizer) member(sc *scratch, c model.CellID, win geom.Rect, capped bool) bool {
+	if capped {
+		return sc.inChain[c] == sc.stamp
+	}
+	return l.isLocal(c, win)
+}
+
+// reach holds the memoized bounds of one cell on one side (see bound),
+// valid while stamp matches the evaluation that computed it.
+type reach struct {
+	stamp        uint32
+	size         int32
+	bound, floor int64
+}
+
+// push is a cell the target pushes, with its offset from the target x:
+// the target's or its own width plus the widths and spacings between.
+type push struct {
+	id  model.CellID
+	off int64
+}
+
+// bound returns c's memoized bounds on side s, computing them on first
+// use. bound is the lowest position chain member c can be pushed to
+// (the paper's compression bound: every member beyond it pushed as far
+// as it goes). A far neighbour outside the chain is a barrier at its
+// current position, clamped to the padded window edge: chain cells
+// must never leave the window, or parallel batches could collide.
+//
+// An uncapped chain holds every local cell, and the result is memoized
+// for the window (see scratch.beginWindow). It then also carries size,
+// a bound on the number of members c's part of the chain holds (c
+// plus, summed over its distinct far neighbours, theirs) saturated at
+// sc.capN+1, and floor, which no capped chain's bound of c undercuts:
+// at each local far neighbour it takes the lower of the member and the
+// barrier term. A capped chain holds the cells capChain marked, and
+// the result is memoized for the insertion point.
+func (l *Legalizer) bound(sc *scratch, s side, c model.CellID, win geom.Rect, capped bool) *reach {
+	m, stamp := &sc.memo[s][c], sc.window
+	if capped {
+		m, stamp = &sc.capMemo[c], sc.stamp
+	}
+	if m.stamp == stamp {
+		return m
+	}
+	r := reach{stamp: stamp, size: 1, bound: -1 << 60, floor: -1 << 60}
+	slots := l.occ.slots(c)
+	for k, lk := range slots {
+		nb := lk.away(s)
+		if nb < 0 {
+			e := l.segEnd(s, win, lk.sid)
+			r.bound, r.floor = max(r.bound, e), max(r.floor, e)
+			continue
+		}
+		g := l.gap(s, nb, c)
+		if !l.member(sc, nb, win, capped) {
+			barrier := max(l.pos(s, nb)+g, l.segEnd(s, win, lk.sid))
+			r.bound, r.floor = max(r.bound, barrier), max(r.floor, barrier)
+			continue
+		}
+		nr := l.bound(sc, s, nb, win, capped)
+		r.bound = max(r.bound, nr.bound+g)
+		if capped {
+			continue
+		}
+		r.floor = max(r.floor, min(nr.floor+g, max(l.pos(s, nb)+g, l.segEnd(s, win, lk.sid))))
+		seen := false
+		for _, p := range slots[:k] {
+			seen = seen || p.away(s) == nb
+		}
+		if !seen {
+			r.size = min(r.size+nr.size, sc.capN+1)
+		}
+	}
+	*m = r
+	return m
+}
+
+// seedLimit returns the target's lowest position on side s: bar, the
+// barriers' bound, raised by every seed's compression bound plus its
+// offset. Along a chain a member's bound plus offset never exceeds that
+// of the seed it hangs from (docs/ALGORITHMS.md), so the seeds decide
+// it alone. Uncapped, it also returns the same limit taken over the
+// seeds' floors, and the sum of their chain-size bounds.
+func (l *Legalizer) seedLimit(sc *scratch, s side, bar int64, win geom.Rect, capped bool) (lim, floor int64, n int32) {
+	lim, floor = bar, bar
+	for _, c := range sc.front[s] {
+		r := l.bound(sc, s, c, win, capped)
+		lim = max(lim, r.bound+sc.offReq[c])
+		floor = max(floor, r.floor+sc.offReq[c])
+		n += r.size
+	}
+	return lim, floor, n
+}
+
+// capChain marks the members of side s's chain when the cap may bind,
+// by the breadth-first search Options.MaxChain defines: the seeds in
+// row order, then the far neighbours of each member, bottom row first;
+// a local cell found when the chain already holds sc.capN cells stays
+// out, a barrier at its current position.
+func (l *Legalizer) capChain(sc *scratch, s side, win geom.Rect) {
+	q := append(sc.queue[:0], sc.front[s]...)
+	for _, c := range q {
+		sc.inChain[c] = sc.stamp
+	}
+	for i := 0; i < len(q) && len(q) < int(sc.capN); i++ {
+		for _, lk := range l.occ.slots(q[i]) {
+			nb := lk.away(s)
+			if nb < 0 || sc.inChain[nb] == sc.stamp || !l.isLocal(nb, win) || len(q) >= int(sc.capN) {
+				continue
+			}
+			sc.inChain[nb] = sc.stamp
+			q = append(q, nb)
+		}
+	}
+	sc.queue = q
+}
+
+// require raises the offset from the target that cell c needs on side
+// s to at least off, adding c to the side's frontier if it has none.
+func (sc *scratch) require(s side, c model.CellID, off int64) {
+	if sc.offStamp[c] != sc.stamp {
+		sc.offStamp[c], sc.offReq[c] = sc.stamp, off
+		sc.front[s] = append(sc.front[s], c)
+	} else if off > sc.offReq[c] {
+		sc.offReq[c] = off
 	}
 }
 
-// seedOff returns the seeded frontier offset of id (0 if none).
-func (s *scratch) seedOff(id model.CellID) int64 {
-	if s.offStamp[id] == s.stamp {
-		return s.offReq[id]
-	}
-	return 0
-}
-
-// buildLeftChain collects the movable cells pushed left when the target
-// (rows [y,y+h)) is inserted with its left edge at variable x. It
-// returns the chain cells (off and minPos filled in) and the x lower
-// bound implied by compression; lo == chainInfeasible marks an
-// infeasible insertion point. The returned slice is owned by sc.
-func (l *Legalizer) buildLeftChain(sc *scratch, t model.CellID, y, h, x0 int, win geom.Rect) ([]chainCell, int64) {
+// walk appends to sc.pushed the members of side s's chain that the
+// target pushes somewhere on its feasible range, whose lowest position
+// on side s is lo, with their offsets from the target x. It expands the
+// frontier from the seeds one cell at a time, nearest the target first,
+// so a cell's offset is final when it is taken: the largest over its
+// seed rows and its pushed near neighbours. A cell whose position plus
+// offset does not exceed lo stays where it is over the whole range,
+// adds exactly 0 to the curve, and pushes none of its far neighbours
+// (docs/ALGORITHMS.md), so the walk does not expand it.
+func (l *Legalizer) walk(sc *scratch, s side, lo, tw int64, win geom.Rect, capped bool) {
 	hc := l.hot
-	grid := l.grid
-	tct := hc.Type[t]
-	tf := hc.Fence[t]
-	sc.reset(len(hc.X))
-	chain := sc.chain[:0]
-	queue := sc.queue[:0]
-	capN := l.chainCap(win)
-	var xlo int64
-
-	// Seed with per-target-row frontiers.
-	for r := y; r < y+h; r++ {
-		sid := grid.AtID(r, x0)
-		if sid < 0 || grid.FenceOf(sid) != tf {
-			return nil, chainInfeasible
-		}
-		idx := l.leftNeighborIdx(sid, x0)
-		if idx < 0 {
-			if b := l.winPadLo(win, grid.Lo(sid)); b > xlo {
-				xlo = b
+	for len(sc.front[s]) > 0 {
+		f := sc.front[s]
+		k := 0
+		for i := range f {
+			if s == left && hc.X[f[i]] > hc.X[f[k]] || s == right && hc.X[f[i]] < hc.X[f[k]] {
+				k = i
 			}
+		}
+		c := f[k]
+		f[k] = f[len(f)-1]
+		sc.front[s] = f[:len(f)-1]
+		off := sc.offReq[c]
+		if l.pos(s, c)+off <= lo {
 			continue
 		}
-		nb := l.occ.cellsIn(sid)[idx]
-		if !l.isLocal(nb, win) {
-			b := int64(hc.X[nb]+hc.W[nb]) + l.spacing(hc.Type[nb], tct)
-			if b > xlo {
-				xlo = b
-			}
-			continue
+		xoff := off
+		if s == right {
+			xoff += tw - int64(hc.W[c])
 		}
-		if sc.inChain[nb] != sc.stamp {
-			sc.inChain[nb] = sc.stamp
-			sc.chainIdx[nb] = int32(len(chain))
-			chain = append(chain, chainCell{id: nb})
-			queue = append(queue, int32(nb))
-		}
-		sc.bumpOff(nb, int64(hc.W[nb])+l.spacing(hc.Type[nb], tct))
-	}
-
-	// BFS: explore left neighbors of chain members across all their rows.
-	for qi := 0; qi < len(queue); qi++ {
-		for _, lk := range l.occ.slots(model.CellID(queue[qi])) {
-			nb := lk.left
-			if nb < 0 || sc.inChain[nb] == sc.stamp {
-				continue
-			}
-			if !l.isLocal(nb, win) || len(chain) >= capN {
-				continue // becomes a barrier below, via minPos
-			}
-			sc.inChain[nb] = sc.stamp
-			sc.chainIdx[nb] = int32(len(chain))
-			chain = append(chain, chainCell{id: nb})
-			queue = append(queue, int32(nb))
-		}
-	}
-
-	// Topological pass 1 (descending X): longest-path offsets.
-	order := sc.order[:0]
-	for i := range chain {
-		order = append(order, i)
-	}
-	// Insertion sort by descending X: chains are short and this is hot.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && hc.X[chain[order[j]].id] > hc.X[chain[order[j-1]].id]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, ci := range order {
-		c := chain[ci].id
-		off := sc.seedOff(c)
+		sc.pushed = append(sc.pushed, push{id: c, off: xoff})
 		for _, lk := range l.occ.slots(c) {
-			rn := lk.right
-			if rn < 0 {
-				continue
-			}
-			ri, ok2 := sc.chainAt(rn)
-			if !ok2 {
-				continue
-			}
-			req := chain[ri].off + int64(hc.W[c]) + l.spacing(hc.Type[c], hc.Type[rn])
-			if req > off {
-				off = req
-			}
-		}
-		if off == 0 {
-			off = -1 // defensive: never move a requirement-free cell
-		}
-		chain[ci].off = off
-	}
-
-	// Topological pass 2 (ascending X): compression bounds (minPos).
-	for k := len(order) - 1; k >= 0; k-- {
-		ci := order[k]
-		c := chain[ci].id
-		var minPos int64 = -1 << 60
-		for _, lk := range l.occ.slots(c) {
-			nb := lk.left
-			if nb < 0 {
-				if b := l.winPadLo(win, grid.Lo(lk.sid)); b > minPos {
-					minPos = b
-				}
-				continue
-			}
-			if ni, ok2 := sc.chainAt(nb); ok2 {
-				b := chain[ni].bound + int64(hc.W[nb]) + l.spacing(hc.Type[nb], hc.Type[c])
-				if b > minPos {
-					minPos = b
-				}
-			} else {
-				// Non-local barrier, still clamped to the (padded)
-				// window edge: chain cells must never leave the
-				// window, or parallel batches could collide.
-				b := int64(hc.X[nb]+hc.W[nb]) + l.spacing(hc.Type[nb], hc.Type[c])
-				if w := l.winPadLo(win, grid.Lo(lk.sid)); w > b {
-					b = w
-				}
-				if b > minPos {
-					minPos = b
-				}
-			}
-		}
-		chain[ci].bound = minPos
-		if chain[ci].off > 0 {
-			if v := minPos + chain[ci].off; v > xlo {
-				xlo = v
+			if nb := lk.away(s); nb >= 0 && l.member(sc, nb, win, capped) {
+				sc.require(s, nb, off+l.gap(s, nb, c))
 			}
 		}
 	}
-	sc.chain, sc.queue, sc.order = chain, queue, order
-	return chain, xlo
 }
 
-// buildRightChain mirrors buildLeftChain for cells pushed right. It
-// returns the chain and the upper bound on the target x; hi ==
-// -chainInfeasible marks an infeasible insertion point. The returned
-// slice is owned by sc.
-func (l *Legalizer) buildRightChain(sc *scratch, t model.CellID, y, h, x0 int, win geom.Rect) ([]chainCell, int64) {
-	hc := l.hot
-	grid := l.grid
-	tct := hc.Type[t]
-	tf := hc.Fence[t]
-	tw := int64(hc.W[t])
-	sc.reset(len(hc.X))
-	chain := sc.chainR[:0]
-	queue := sc.queue[:0]
-	capN := l.chainCap(win)
-	xhi := int64(1) << 60
-
-	for r := y; r < y+h; r++ {
-		sid := grid.AtID(r, x0)
-		if sid < 0 || grid.FenceOf(sid) != tf {
-			return nil, -chainInfeasible
-		}
-		lst := l.occ.cellsIn(sid)
-		i := l.occ.splitAt(sid, x0)
-		if i >= len(lst) {
-			if v := l.winPadHi(win, grid.Hi(sid)) - tw; v < xhi {
-				xhi = v
-			}
-			continue
-		}
-		nb := lst[i]
-		if !l.isLocal(nb, win) {
-			b := int64(hc.X[nb]) - l.spacing(tct, hc.Type[nb]) - tw
-			if b < xhi {
-				xhi = b
-			}
-			continue
-		}
-		if sc.inChain[nb] != sc.stamp {
-			sc.inChain[nb] = sc.stamp
-			sc.chainIdx[nb] = int32(len(chain))
-			chain = append(chain, chainCell{id: nb})
-			queue = append(queue, int32(nb))
-		}
-		sc.bumpOff(nb, tw+l.spacing(tct, hc.Type[nb]))
-	}
-
-	for qi := 0; qi < len(queue); qi++ {
-		for _, lk := range l.occ.slots(model.CellID(queue[qi])) {
-			nb := lk.right
-			if nb < 0 || sc.inChain[nb] == sc.stamp {
-				continue
-			}
-			if !l.isLocal(nb, win) || len(chain) >= capN {
-				continue
-			}
-			sc.inChain[nb] = sc.stamp
-			sc.chainIdx[nb] = int32(len(chain))
-			chain = append(chain, chainCell{id: nb})
-			queue = append(queue, int32(nb))
-		}
-	}
-
-	// Pass 1 (ascending X): offsets from the target.
-	order := sc.order[:0]
-	for i := range chain {
-		order = append(order, i)
-	}
-	// Insertion sort by ascending X (see the left-chain mirror).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && hc.X[chain[order[j]].id] < hc.X[chain[order[j-1]].id]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, ci := range order {
-		c := chain[ci].id
-		off := sc.seedOff(c)
-		for _, lk := range l.occ.slots(c) {
-			ln := lk.left
-			if ln < 0 {
-				continue
-			}
-			li, ok2 := sc.chainAt(ln)
-			if !ok2 {
-				continue
-			}
-			req := chain[li].off + int64(hc.W[ln]) + l.spacing(hc.Type[ln], hc.Type[c])
-			if req > off {
-				off = req
-			}
-		}
-		if off == 0 {
-			off = -1
-		}
-		chain[ci].off = off
-	}
-
-	// Pass 2 (descending X): expansion bounds (maxPos).
-	for k := len(order) - 1; k >= 0; k-- {
-		ci := order[k]
-		c := chain[ci].id
-		cw := int64(hc.W[c])
-		var maxPos int64 = 1 << 60
-		for _, lk := range l.occ.slots(c) {
-			nb := lk.right
-			if nb < 0 {
-				if v := l.winPadHi(win, grid.Hi(lk.sid)) - cw; v < maxPos {
-					maxPos = v
-				}
-				continue
-			}
-			if ni, ok2 := sc.chainAt(nb); ok2 {
-				b := chain[ni].bound - l.spacing(hc.Type[c], hc.Type[nb]) - cw
-				if b < maxPos {
-					maxPos = b
-				}
-			} else {
-				// Non-local barrier, clamped to the padded window edge
-				// (see the left-chain mirror for why).
-				b := int64(hc.X[nb]) - l.spacing(hc.Type[c], hc.Type[nb]) - cw
-				if w := l.winPadHi(win, grid.Hi(lk.sid)) - cw; w < b {
-					b = w
-				}
-				if b < maxPos {
-					maxPos = b
-				}
-			}
-		}
-		chain[ci].bound = maxPos
-		if chain[ci].off > 0 {
-			if v := maxPos - chain[ci].off; v < xhi {
-				xhi = v
-			}
-		}
-	}
-	sc.chainR, sc.queue, sc.order = chain, queue, order
-	return chain, xhi
+// targetRange returns the range of the target's x in win that the
+// lowest positions lim of its two sides allow.
+func targetRange(lim [2]int64, win geom.Rect, tw int) (xlo, xhi int64) {
+	return max(lim[left], int64(win.XLo)), min(-lim[right], int64(win.XHi)) - int64(tw)
 }
 
 // evaluateInsertion builds the displacement curve for the insertion
 // point defined by (y, x0) and returns the best position and cost. The
-// second return is false if the point is infeasible. The returned
-// plan's moves alias sc.moves and are only valid until the next
-// evaluation with the same scratch.
+// second return is false if the point is infeasible. sc must have begun
+// win's evaluation (scratch.beginWindow). The returned plan's moves
+// alias sc.moves and are only valid until the next evaluation with the
+// same scratch.
 func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int, win geom.Rect) (plan, bool) {
 	hc := l.hot
 	grid := l.grid
@@ -422,8 +325,8 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 
 	// Quick rejection: every span row must hold at least the target's
 	// width of free sites inside the window. This necessary condition
-	// skips the expensive chain construction for insertion points deep
-	// inside packed regions.
+	// skips the chain work for insertion points deep inside packed
+	// regions.
 	for r := y; r < y+h; r++ {
 		sid := grid.AtID(r, x0)
 		if sid < 0 || grid.FenceOf(sid) != tf {
@@ -442,23 +345,66 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 		}
 	}
 
-	left, xlo := l.buildLeftChain(sc, t, y, h, x0, win)
-	if xlo >= chainInfeasible {
+	// In every span row the nearest cell on each side of x0 is a seed
+	// of that side's chain if it is local; otherwise it, or the segment
+	// end, is a barrier. bar[s] is the target's lowest position on side
+	// s that the barriers allow.
+	sc.beginPoint()
+	bar := [2]int64{-1 << 60, -1 << 60}
+	for r := y; r < y+h; r++ {
+		sid := grid.AtID(r, x0)
+		lst := l.occ.cellsIn(sid)
+		i := l.occ.splitAt(sid, x0)
+		near := [2]model.CellID{-1, -1}
+		if i > 0 {
+			near[left] = lst[i-1]
+		}
+		if i < len(lst) {
+			near[right] = lst[i]
+		}
+		for s := left; s <= right; s++ {
+			switch nb := near[s]; {
+			case nb < 0:
+				bar[s] = max(bar[s], l.segEnd(s, win, sid))
+			case !l.isLocal(nb, win):
+				bar[s] = max(bar[s], l.pos(s, nb)+l.gap(s, nb, t))
+			default:
+				sc.require(s, nb, l.gap(s, nb, t))
+			}
+		}
+	}
+
+	// The seeds' bounds decide feasibility. While their chain-size
+	// bounds sum to at most the cap, the cap cannot bind and every local
+	// cell is a member. Otherwise capChain decides membership and the
+	// bounds are taken over its members, unless the floors already
+	// prove the point infeasible.
+	var lim, floor [2]int64
+	var capped [2]bool
+	for s := left; s <= right; s++ {
+		var n int32
+		lim[s], floor[s], n = l.seedLimit(sc, s, bar[s], win, false)
+		capped[s] = n > sc.capN
+		if !capped[s] {
+			floor[s] = lim[s]
+		}
+	}
+	if xlo, xhi := targetRange(floor, win, tw); xlo > xhi {
 		return plan{}, false
 	}
-	right, xhi := l.buildRightChain(sc, t, y, h, x0, win)
-	if xhi <= -chainInfeasible {
-		return plan{}, false
+	for s := left; s <= right; s++ {
+		if capped[s] {
+			l.capChain(sc, s, win)
+			lim[s], _, _ = l.seedLimit(sc, s, bar[s], win, true)
+		}
 	}
-	if int64(win.XLo) > xlo {
-		xlo = int64(win.XLo)
-	}
-	if v := int64(win.XHi) - int64(tw); v < xhi {
-		xhi = v
-	}
+	xlo, xhi := targetRange(lim, win, tw)
 	if xlo > xhi {
 		return plan{}, false
 	}
+	l.walk(sc, left, xlo, int64(tw), win, capped[left])
+	nLeft := len(sc.pushed)
+	l.walk(sc, right, -xhi-int64(tw), int64(tw), win, capped[right])
 
 	// The summed curve lives in the scratch and is accumulated in
 	// place: the former per-cell curve constructors allocated a curve
@@ -467,35 +413,22 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 	// rail slide below read; most chain breakpoints lie outside it.
 	total := &sc.total
 	total.ResetAbs(tgx, siteW, int64(geom.Abs(y-int(hc.GY[t])))*rowH, xlo, xhi)
-	// Each local cell contributes its *incremental* displacement: the
+	// Each pushed cell contributes its *incremental* displacement: the
 	// curve minus its current (sunk) displacement. Without the
 	// subtraction, insertion points whose windows happen to contain
 	// already-displaced cells would look spuriously expensive, biasing
 	// the row choice. (For MLL semantics the baseline is zero anyway.)
-	for i := range left {
-		if left[i].off <= 0 {
-			continue
-		}
-		id := left[i].id
-		cx := int64(hc.X[id])
-		g := int64(hc.GX[id])
+	for i, pc := range sc.pushed {
+		cx := int64(hc.X[pc.id])
+		g := int64(hc.GX[pc.id])
 		if l.opt.CostFromCurrent {
 			g = cx // MLL semantics: cost from current position
 		}
-		total.AddPushLeft(cx, g, left[i].off, siteW)
-		total.AddConst(-siteW * abs64(cx-g))
-	}
-	for i := range right {
-		if right[i].off <= 0 {
-			continue
+		if i < nLeft {
+			total.AddPushLeft(cx, g, pc.off, siteW)
+		} else {
+			total.AddPushRight(cx, g, pc.off, siteW)
 		}
-		id := right[i].id
-		cx := int64(hc.X[id])
-		g := int64(hc.GX[id])
-		if l.opt.CostFromCurrent {
-			g = cx
-		}
-		total.AddPushRight(cx, g, right[i].off, siteW)
 		total.AddConst(-siteW * abs64(cx-g))
 	}
 
@@ -537,32 +470,14 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 
 	p := plan{target: t, x: int(bestX), y: y, x0: x0, cost: bestV, ok: true}
 	moves := sc.moves[:0]
-	for i := range left {
-		if left[i].off <= 0 {
-			continue
-		}
-		id := left[i].id
-		cx := int64(hc.X[id])
-		nx := bestX - left[i].off
-		if cx < nx {
-			nx = cx
+	for i, pc := range sc.pushed {
+		cx := int64(hc.X[pc.id])
+		nx := min(cx, bestX-pc.off)
+		if i >= nLeft {
+			nx = max(cx, bestX+pc.off)
 		}
 		if nx != cx {
-			moves = append(moves, move{id: id, newX: int(nx)})
-		}
-	}
-	for i := range right {
-		if right[i].off <= 0 {
-			continue
-		}
-		id := right[i].id
-		cx := int64(hc.X[id])
-		nx := bestX + right[i].off
-		if cx > nx {
-			nx = cx
-		}
-		if nx != cx {
-			moves = append(moves, move{id: id, newX: int(nx)})
+			moves = append(moves, move{id: pc.id, newX: int(nx)})
 		}
 	}
 	sc.moves = moves

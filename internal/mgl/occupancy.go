@@ -23,8 +23,8 @@ import (
 //
 // Alongside the lists it keeps, for every placed cell and every row it
 // spans, a slot with the cell's left and right neighbours in that row
-// and the row's segment. The push-chain builders walk these links
-// instead of locating a cell in its segment list again for every step.
+// and the row's segment. The push-chain code walks these links instead
+// of locating a cell in its segment list again for every step.
 //
 // All position and width reads go through the HotCells view (shared
 // with the owning Legalizer): the occupancy queries run inside the

@@ -133,11 +133,12 @@ func TestOccupiedWidthRandomized(t *testing.T) {
 	}
 }
 
-// The chain builders read a cell's row neighbours and segment from its
-// link slots instead of searching the segment lists, so after every
+// The push-chain code reads a cell's row neighbours and segment from
+// its link slots instead of searching the segment lists, so after every
 // batch of a run each placed cell's slots must name exactly its
-// neighbours in the x-sorted lists and the list's segment. Designs mix
-// heights 1–3, and some carry a fence or edge spacing.
+// neighbours in the x-sorted lists and the list's segment, and the
+// neighbours must keep their edge spacing apart. Designs mix heights
+// 1–3, and some carry a fence or edge spacing.
 func TestOccupancyLinksMatchLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 12; trial++ {
@@ -169,10 +170,13 @@ func TestOccupancyLinksMatchLists(t *testing.T) {
 
 // checkLinks compares every slot of every registered cell with the
 // segment lists: neighbours, segment, strict x-order, and one slot per
-// spanned row.
+// spanned row. It also checks that consecutive cells keep their edge
+// spacing apart, X[a]+W[a]+spacing <= X[b]: the pushed-cell walk of
+// evaluateInsertion relies on it (docs/ALGORITHMS.md).
 func checkLinks(t *testing.T, o *occupancy, trial, batch int) {
 	t.Helper()
 	h := o.hot
+	tech, types := &o.d.Tech, o.d.Types
 	rows := map[model.CellID]int{}
 	for sid, lst := range o.segs {
 		r := o.grid.Segs[sid].Row
@@ -184,10 +188,16 @@ func checkLinks(t *testing.T, o *occupancy, trial, batch int) {
 			}
 			want := link{left: -1, right: -1, sid: int32(sid)}
 			if i > 0 {
-				want.left = lst[i-1]
-				if h.X[want.left] >= h.X[id] {
+				a := lst[i-1]
+				want.left = a
+				if h.X[a] >= h.X[id] {
 					t.Errorf("trial %d batch %d: segment %d not strictly x-sorted at %d",
 						trial, batch, sid, i)
+				}
+				sp := tech.Spacing(types[h.Type[a]].EdgeR, types[h.Type[id]].EdgeL)
+				if int(h.X[a]+h.W[a])+sp > int(h.X[id]) {
+					t.Errorf("trial %d batch %d: cells %d at %d (width %d) and %d at %d in segment %d are closer than their spacing %d",
+						trial, batch, a, h.X[a], h.W[a], id, h.X[id], sid, sp)
 				}
 			}
 			if i+1 < len(lst) {

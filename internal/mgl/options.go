@@ -48,8 +48,14 @@ type Options struct {
 	// GrowFactor multiplies the window extents after a failed
 	// insertion. Zero means 2.
 	GrowFactor int
-	// MaxChain bounds the number of movable cells per push chain; the
-	// chain is cut with a barrier beyond it. Zero means 48.
+	// MaxChain bounds the number of movable cells per push chain (each
+	// side of an insertion point has one). Membership is breadth-first
+	// from the seeds, the nearest local cell on that side in each of the
+	// target's rows, which always belong: each member's neighbours away
+	// from the target are visited in turn, bottom row first, and a local
+	// cell found when the chain already holds MaxChain cells becomes a
+	// barrier at its current x. The full-core window bounds the chain by
+	// the core width in sites instead. Zero means 48.
 	MaxChain int
 	// Workers is the number of parallel evaluation threads (Section
 	// 3.5). Zero means GOMAXPROCS. Workers only bounds concurrency:

@@ -79,11 +79,13 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 }
 
 // A warm window evaluation must not touch the heap: the scratch pool
-// owns every buffer (rows are enumerated without storage, reps, chains,
-// curve breakpoints and moves are reused). GC is disabled during the
-// measurement so a pool flush cannot produce a false positive. The
-// second case evaluates the same window as a split one-window batch at
-// Workers 2: row tasks, dispatch to the helper, replay and the
+// owns every buffer (rows are enumerated without storage, reps, chain
+// memos, frontiers, curve breakpoints and moves are reused). GC is
+// disabled during the measurement so a pool flush cannot produce a
+// false positive. The second case caps chains at two cells, so that
+// evaluations take the capped path (breadth-first membership and its
+// bounds). The third evaluates the same window as a split one-window
+// batch at Workers 2: row tasks, dispatch to the helper, replay and the
 // re-evaluation of the winner.
 func TestBestInWindowZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -103,8 +105,8 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legalizer := func(workers int) *Legalizer {
-		l := New(d, grid, Options{Workers: workers})
+	legalizer := func(opt Options) *Legalizer {
+		l := New(d, grid, opt)
 		// Register everything except the target, as mid-run evaluation sees it.
 		for i := range d.Cells {
 			if model.CellID(i) == tgt {
@@ -129,7 +131,7 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 		}
 	}
 
-	l := legalizer(1)
+	l := legalizer(Options{Workers: 1})
 	win := l.windowFor(tgt, 2)
 	var dst []move
 	zeroAlloc("bestInWindow", func() {
@@ -138,7 +140,14 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 		}
 	})
 
-	ls := legalizer(2)
+	lc := legalizer(Options{Workers: 1, MaxChain: 2})
+	zeroAlloc("bestInWindow with capped chains", func() {
+		if _, ok := lc.bestInWindow(tgt, win, &dst); !ok {
+			t.Fatal("no feasible plan in window")
+		}
+	})
+
+	ls := legalizer(Options{Workers: 2})
 	ls.rs.ensure(len(d.Cells), ls.opt.BatchCap)
 	ls.rs.batch = append(ls.rs.batch, tgt)
 	ls.rs.wins = append(ls.rs.wins, win)

@@ -4,25 +4,34 @@ import (
 	"sync"
 
 	"mclegal/internal/curve"
+	"mclegal/internal/model"
 )
 
-// scratch holds reusable per-evaluation buffers indexed by cell ID,
-// replacing per-insertion-point map allocations on the hot path. Each
-// chain build bumps the stamp, implicitly clearing the arrays. After a
-// few windows of warm-up every buffer has reached its steady-state
-// capacity and a window evaluation performs zero heap allocations (see
-// TestBestInWindowZeroAlloc).
+// scratch holds reusable evaluation buffers, replacing per-insertion-
+// point map allocations on the hot path. The per-cell arrays are
+// cleared by bumping a stamp: window for the window memo, stamp for an
+// insertion point's state. After a few windows of warm-up every buffer
+// has reached its steady-state capacity and a window evaluation
+// performs zero heap allocations (see TestBestInWindowZeroAlloc).
 type scratch struct {
-	stamp    int32
-	inChain  []int32 // stamp marker: cell is in the current chain
-	chainIdx []int32 // index into the chain slice (valid when marked)
-	offStamp []int32
-	offReq   []int64 // seeded frontier off requirement
+	// The window memo: each side's bounds of the local cells (see
+	// bound), and the window's chain cap.
+	window uint32
+	capN   int32
+	memo   [2][]reach
 
-	chain  []chainCell
-	chainR []chainCell
-	queue  []int32
-	order  []int
+	// One insertion point's state: the offset each frontier cell needs
+	// (offStamp, offReq), and a capped chain's members (inChain) and
+	// their bounds (capMemo). The two sides' chains never share a cell.
+	stamp    uint32
+	offStamp []uint32
+	offReq   []int64
+	inChain  []uint32
+	capMemo  []reach
+
+	front  [2][]model.CellID // per side: the seeds, then the walk's frontier
+	queue  []model.CellID    // a capped chain's members (capChain)
+	pushed []push            // pushed cells, the left side's first (evaluateInsertion)
 
 	reps      []int       // insertion-point representatives (insertionReps)
 	total     curve.Curve // summed displacement curve (evaluateInsertion)
@@ -30,14 +39,41 @@ type scratch struct {
 	bestMoves []move      // current best plan's moves (bestInWindow)
 }
 
-func (s *scratch) reset(n int) {
-	if len(s.inChain) < n {
-		s.inChain = make([]int32, n)
-		s.chainIdx = make([]int32, n)
-		s.offStamp = make([]int32, n)
+// beginWindow starts the evaluation of one window of a design of n
+// cells whose chains hold at most capN cells: it sizes the per-cell
+// arrays and clears the window memo. Until the next call, every
+// insertion point evaluated with s must lie in that window and see the
+// same occupancy.
+func (s *scratch) beginWindow(n, capN int) {
+	if len(s.offStamp) < n {
+		s.memo[left] = make([]reach, n)
+		s.memo[right] = make([]reach, n)
+		s.offStamp = make([]uint32, n)
 		s.offReq = make([]int64, n)
+		s.inChain = make([]uint32, n)
+		s.capMemo = make([]reach, n)
 	}
-	s.stamp++
+	// A pooled scratch outlives many runs, so the stamps can wrap
+	// around; zeroing the arrays then keeps an old entry from matching.
+	if s.window++; s.window == 0 {
+		clear(s.memo[left])
+		clear(s.memo[right])
+		s.window = 1
+	}
+	s.capN = int32(capN)
+}
+
+// beginPoint starts the evaluation of one insertion point: it clears
+// the insertion-point state, the frontiers and the pushed cells.
+func (s *scratch) beginPoint() {
+	s.front[left], s.front[right] = s.front[left][:0], s.front[right][:0]
+	s.pushed = s.pushed[:0]
+	if s.stamp++; s.stamp == 0 {
+		clear(s.offStamp)
+		clear(s.inChain)
+		clear(s.capMemo)
+		s.stamp = 1
+	}
 }
 
 // scratchPool hands out scratch buffers to concurrent window
