@@ -594,7 +594,7 @@ func TestPushedChainsMatchOracle(t *testing.T) {
 					h := int(l.hot.H[id])
 					for attempt := 0; attempt <= 4; attempt++ {
 						win := l.windowFor(id, attempt)
-						sc.beginWindow(len(l.hot.X), l.chainCap(win))
+						sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(win))
 						yLo, yHi, _, _ := l.scanRange(id, win)
 						for y := yLo; y <= yHi; y++ {
 							for _, x0 := range l.insertionReps(&sc, l.hot.Fence[id], y, h, win) {
@@ -622,26 +622,77 @@ func TestPushedChainsMatchOracle(t *testing.T) {
 	t.Logf("%d insertion points, %d feasible, %d with moves", points, feasible, moved)
 }
 
+// A capped side's walk runs MaxChain's breadth-first search only as far
+// as its membership queries need, which the oracle cannot see: an eager
+// search gives the same plans. One row holds 60 local cells of width 2,
+// the first 57 abutting and the last three a site apart, so the seeds'
+// size bound exceeds the cap of 48 while the target pushes only the
+// three spaced cells. Their GP x and the target's lie to the left, so
+// the target pushes them as far as they go.
+func TestCappedWalkSearchesLazily(t *testing.T) {
+	d := newDesign(200, 1)
+	for k := range 57 {
+		addCell(d, 0, 2*k, 0, 0)
+	}
+	for _, x := range []int{115, 118, 121} {
+		id := addCell(d, 0, x, 0, 0)
+		d.Cells[id].GX = 100
+	}
+	tgt := addCell(d, 0, 100, 0, 0)
+	grid, err := seg.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := New(d, grid, Options{Workers: 1, MaxChain: 48})
+	for id := range tgt {
+		if err := l.occ.insert(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	win := geom.RectWH(0, 0, 190, 1) // not the full core, so the cap holds
+	var sc scratch
+	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(win))
+	got, gotOK := l.evaluateInsertion(&sc, tgt, 0, 1, 123, win)
+	var osc oracleScratch
+	want, wantOK := l.oracleEvaluate(&osc, tgt, 0, 1, 123, win)
+	if !gotOK || !wantOK || got.x != want.x || got.cost != want.cost ||
+		!slices.Equal(got.moves, want.moves) || len(got.moves) > 3 {
+		t.Fatalf("got %v %+v, oracle %v %+v (want at most 3 moves)", gotOK, got, wantOK, want)
+	}
+	if len(sc.queue) == 0 || len(sc.queue) >= 48 || int(sc.head) > len(got.moves)+1 {
+		t.Fatalf("the capped search holds %d members and expanded %d for %d pushed cells, want 1 to 47 and at most %d",
+			len(sc.queue), sc.head, len(got.moves), len(got.moves)+1)
+	}
+}
+
 // A pooled scratch outlives many runs, so its stamps wrap around. The
 // wrap must zero the stamped arrays: an entry stamped 2^32 evaluations
 // earlier would otherwise read as current.
 func TestScratchStampsWrap(t *testing.T) {
 	var sc scratch
-	sc.beginWindow(3, 48)
+	sc.beginWindow(3, 2, 48)
 	sc.window, sc.stamp = math.MaxUint32, math.MaxUint32
 	for c := range 3 {
 		sc.memo[left][c].stamp, sc.memo[right][c].stamp = 1, 1
-		sc.offStamp[c], sc.inChain[c], sc.capMemo[c].stamp = 1, 1, 1
+		sc.offStamp[c], sc.inChain[c] = 1, 1
 	}
-	sc.beginWindow(3, 48)
+	for sid := range 2 {
+		sc.free[sid].stamp = 1
+	}
+	sc.beginWindow(3, 2, 48)
 	sc.beginPoint()
 	if sc.window != 1 || sc.stamp != 1 {
 		t.Fatalf("stamps after the wrap: window %d, point %d, want 1 and 1", sc.window, sc.stamp)
 	}
 	for c := range 3 {
 		if sc.memo[left][c].stamp == 1 || sc.memo[right][c].stamp == 1 ||
-			sc.offStamp[c] == 1 || sc.inChain[c] == 1 || sc.capMemo[c].stamp == 1 {
+			sc.offStamp[c] == 1 || sc.inChain[c] == 1 {
 			t.Fatalf("cell %d keeps a stamp from before the wrap", c)
+		}
+	}
+	for sid := range 2 {
+		if sc.free[sid].stamp == 1 {
+			t.Fatalf("segment %d keeps a free-width stamp from before the wrap", sid)
 		}
 	}
 }

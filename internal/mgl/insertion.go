@@ -132,17 +132,45 @@ func (l *Legalizer) segEnd(s side, win geom.Rect, sid int32) int64 {
 	return l.winPadLo(win, l.grid.Lo(sid))
 }
 
-// member reports whether cell c belongs to a push chain: any local cell
-// of an uncapped chain, the cells capChain marked in a capped one.
-func (l *Legalizer) member(sc *scratch, c model.CellID, win geom.Rect, capped bool) bool {
-	if capped {
-		return sc.inChain[c] == sc.stamp
+// member reports whether cell c belongs to side s's push chain: any
+// local cell of an uncapped chain; of a capped one, a cell that
+// MaxChain's breadth-first search takes, run only until it takes c.
+func (l *Legalizer) member(sc *scratch, s side, c model.CellID, win geom.Rect, capped bool) bool {
+	if !l.isLocal(c, win) {
+		return false
 	}
-	return l.isLocal(c, win)
+	for capped && sc.inChain[c] != sc.stamp {
+		if !l.capStep(sc, s, win) {
+			return false
+		}
+	}
+	return true
+}
+
+// capStep expands the next member of side s's capped chain in the
+// breadth-first order Options.MaxChain defines: the seeds in row order,
+// then the far neighbours of each member, bottom row first; a local
+// cell found when the chain already holds sc.capN cells stays out, a
+// barrier at its current position. It reports false once the search
+// has ended: every member expanded, or the chain full.
+func (l *Legalizer) capStep(sc *scratch, s side, win geom.Rect) bool {
+	q := sc.queue
+	if int(sc.head) >= len(q) || len(q) >= int(sc.capN) {
+		return false
+	}
+	for _, lk := range l.occ.slots(q[sc.head]) {
+		nb := lk.away(s)
+		if nb >= 0 && sc.inChain[nb] != sc.stamp && l.isLocal(nb, win) && len(q) < int(sc.capN) {
+			sc.inChain[nb] = sc.stamp
+			q = append(q, nb)
+		}
+	}
+	sc.queue, sc.head = q, sc.head+1
+	return true
 }
 
 // reach holds the memoized bounds of one cell on one side (see bound),
-// valid while stamp matches the evaluation that computed it.
+// valid while stamp matches the window evaluation that computed them.
 type reach struct {
 	stamp        uint32
 	size         int32
@@ -156,30 +184,23 @@ type push struct {
 	off int64
 }
 
-// bound returns c's memoized bounds on side s, computing them on first
-// use. bound is the lowest position chain member c can be pushed to
-// (the paper's compression bound: every member beyond it pushed as far
-// as it goes). A far neighbour outside the chain is a barrier at its
-// current position, clamped to the padded window edge: chain cells
-// must never leave the window, or parallel batches could collide.
-//
-// An uncapped chain holds every local cell, and the result is memoized
-// for the window (see scratch.beginWindow). It then also carries size,
-// a bound on the number of members c's part of the chain holds (c
-// plus, summed over its distinct far neighbours, theirs) saturated at
-// sc.capN+1, and floor, which no capped chain's bound of c undercuts:
-// at each local far neighbour it takes the lower of the member and the
-// barrier term. A capped chain holds the cells capChain marked, and
-// the result is memoized for the insertion point.
-func (l *Legalizer) bound(sc *scratch, s side, c model.CellID, win geom.Rect, capped bool) *reach {
-	m, stamp := &sc.memo[s][c], sc.window
-	if capped {
-		m, stamp = &sc.capMemo[c], sc.stamp
-	}
-	if m.stamp == stamp {
+// bound returns c's bounds on side s in an uncapped chain, which holds
+// every local cell, memoized for the window (see scratch.beginWindow).
+// bound is the lowest position c can be pushed to (the paper's
+// compression bound: every member beyond it pushed as far as it goes).
+// A far neighbour outside the chain is a barrier at its current
+// position, clamped to the padded window edge: chain cells must never
+// leave the window, or parallel batches could collide. size bounds the
+// number of members c's part of the chain holds (c plus, summed over
+// its distinct far neighbours, theirs), saturated at sc.capN+1. floor
+// is a bound no capped chain's bound of c undercuts: at each local far
+// neighbour it takes the lower of the member and the barrier term.
+func (l *Legalizer) bound(sc *scratch, s side, c model.CellID, win geom.Rect) *reach {
+	m := &sc.memo[s][c]
+	if m.stamp == sc.window {
 		return m
 	}
-	r := reach{stamp: stamp, size: 1, bound: -1 << 60, floor: -1 << 60}
+	r := reach{stamp: sc.window, size: 1, bound: -1 << 60, floor: -1 << 60}
 	slots := l.occ.slots(c)
 	for k, lk := range slots {
 		nb := lk.away(s)
@@ -189,17 +210,14 @@ func (l *Legalizer) bound(sc *scratch, s side, c model.CellID, win geom.Rect, ca
 			continue
 		}
 		g := l.gap(s, nb, c)
-		if !l.member(sc, nb, win, capped) {
-			barrier := max(l.pos(s, nb)+g, l.segEnd(s, win, lk.sid))
+		barrier := max(l.pos(s, nb)+g, l.segEnd(s, win, lk.sid))
+		if !l.isLocal(nb, win) {
 			r.bound, r.floor = max(r.bound, barrier), max(r.floor, barrier)
 			continue
 		}
-		nr := l.bound(sc, s, nb, win, capped)
+		nr := l.bound(sc, s, nb, win)
 		r.bound = max(r.bound, nr.bound+g)
-		if capped {
-			continue
-		}
-		r.floor = max(r.floor, min(nr.floor+g, max(l.pos(s, nb)+g, l.segEnd(s, win, lk.sid))))
+		r.floor = max(r.floor, min(nr.floor+g, barrier))
 		seen := false
 		for _, p := range slots[:k] {
 			seen = seen || p.away(s) == nb
@@ -212,44 +230,24 @@ func (l *Legalizer) bound(sc *scratch, s side, c model.CellID, win geom.Rect, ca
 	return m
 }
 
-// seedLimit returns the target's lowest position on side s: bar, the
-// barriers' bound, raised by every seed's compression bound plus its
-// offset. Along a chain a member's bound plus offset never exceeds that
-// of the seed it hangs from (docs/ALGORITHMS.md), so the seeds decide
-// it alone. Uncapped, it also returns the same limit taken over the
-// seeds' floors, and the sum of their chain-size bounds.
-func (l *Legalizer) seedLimit(sc *scratch, s side, bar int64, win geom.Rect, capped bool) (lim, floor int64, n int32) {
-	lim, floor = bar, bar
+// seedLimit returns the target's lowest position on side s: bar raised
+// by every seed's compression bound plus its offset. Along a chain a
+// member's bound plus offset never exceeds that of the seed it hangs
+// from (docs/ALGORITHMS.md), so the seeds decide it alone. If their
+// chain-size bounds sum above the cap, it reports capped and takes the
+// seeds' floors instead, which no capped limit undercuts.
+func (l *Legalizer) seedLimit(sc *scratch, s side, bar int64, win geom.Rect) (lo int64, capped bool) {
+	lim, floor, n := bar, bar, int32(0)
 	for _, c := range sc.front[s] {
-		r := l.bound(sc, s, c, win, capped)
+		r := l.bound(sc, s, c, win)
 		lim = max(lim, r.bound+sc.offReq[c])
 		floor = max(floor, r.floor+sc.offReq[c])
 		n += r.size
 	}
-	return lim, floor, n
-}
-
-// capChain marks the members of side s's chain when the cap may bind,
-// by the breadth-first search Options.MaxChain defines: the seeds in
-// row order, then the far neighbours of each member, bottom row first;
-// a local cell found when the chain already holds sc.capN cells stays
-// out, a barrier at its current position.
-func (l *Legalizer) capChain(sc *scratch, s side, win geom.Rect) {
-	q := append(sc.queue[:0], sc.front[s]...)
-	for _, c := range q {
-		sc.inChain[c] = sc.stamp
+	if n > sc.capN {
+		return floor, true
 	}
-	for i := 0; i < len(q) && len(q) < int(sc.capN); i++ {
-		for _, lk := range l.occ.slots(q[i]) {
-			nb := lk.away(s)
-			if nb < 0 || sc.inChain[nb] == sc.stamp || !l.isLocal(nb, win) || len(q) >= int(sc.capN) {
-				continue
-			}
-			sc.inChain[nb] = sc.stamp
-			q = append(q, nb)
-		}
-	}
-	sc.queue = q
+	return lim, false
 }
 
 // require raises the offset from the target that cell c needs on side
@@ -264,16 +262,24 @@ func (sc *scratch) require(s side, c model.CellID, off int64) {
 }
 
 // walk appends to sc.pushed the members of side s's chain that the
-// target pushes somewhere on its feasible range, whose lowest position
-// on side s is lo, with their offsets from the target x. It expands the
-// frontier from the seeds one cell at a time, nearest the target first,
-// so a cell's offset is final when it is taken: the largest over its
-// seed rows and its pushed near neighbours. A cell whose position plus
-// offset does not exceed lo stays where it is over the whole range,
-// adds exactly 0 to the curve, and pushes none of its far neighbours
-// (docs/ALGORITHMS.md), so the walk does not expand it.
-func (l *Legalizer) walk(sc *scratch, s side, lo, tw int64, win geom.Rect, capped bool) {
+// target pushes somewhere on its feasible range, with their offsets
+// from the target x, and leaves *lo at the target's lowest position on
+// side s. It expands the frontier from the seeds one cell at a time,
+// nearest the target first, so a cell's offset is final when it is
+// taken. A cell whose max(pos, bound) plus offset does not exceed *lo
+// stays put over the whole range, adds 0 to the curve, pushes none of
+// its far neighbours and cannot raise *lo, so the walk does not expand
+// it. *lo is exact from the start on an uncapped side; on a capped one
+// it starts at the floors, and each segment end or barrier an expanded
+// cell meets raises it by the cell's offset (docs/ALGORITHMS.md).
+func (l *Legalizer) walk(sc *scratch, s side, lo *int64, tw int64, win geom.Rect, capped bool) {
 	hc := l.hot
+	if capped {
+		sc.queue, sc.head = append(sc.queue[:0], sc.front[s]...), 0
+		for _, c := range sc.queue {
+			sc.inChain[c] = sc.stamp
+		}
+	}
 	for len(sc.front[s]) > 0 {
 		f := sc.front[s]
 		k := 0
@@ -286,7 +292,8 @@ func (l *Legalizer) walk(sc *scratch, s side, lo, tw int64, win geom.Rect, cappe
 		f[k] = f[len(f)-1]
 		sc.front[s] = f[:len(f)-1]
 		off := sc.offReq[c]
-		if l.pos(s, c)+off <= lo {
+		// seedLimit memoized the bounds of every cell the seeds reach.
+		if max(l.pos(s, c), sc.memo[s][c].bound)+off <= *lo {
 			continue
 		}
 		xoff := off
@@ -295,17 +302,30 @@ func (l *Legalizer) walk(sc *scratch, s side, lo, tw int64, win geom.Rect, cappe
 		}
 		sc.pushed = append(sc.pushed, push{id: c, off: xoff})
 		for _, lk := range l.occ.slots(c) {
-			if nb := lk.away(s); nb >= 0 && l.member(sc, nb, win, capped) {
+			nb := lk.away(s)
+			switch {
+			case nb >= 0 && l.member(sc, s, nb, win, capped):
 				sc.require(s, nb, off+l.gap(s, nb, c))
+			case capped:
+				e := l.segEnd(s, win, lk.sid)
+				if nb >= 0 {
+					e = max(e, l.pos(s, nb)+l.gap(s, nb, c))
+				}
+				*lo = max(*lo, e+off)
 			}
 		}
 	}
 }
 
-// targetRange returns the range of the target's x in win that the
-// lowest positions lim of its two sides allow.
-func targetRange(lim [2]int64, win geom.Rect, tw int) (xlo, xhi int64) {
-	return max(lim[left], int64(win.XLo)), min(-lim[right], int64(win.XHi)) - int64(tw)
+// freeWidth returns the free sites of segment sid inside win, which
+// stay fixed within a window evaluation and are memoized for it.
+func (l *Legalizer) freeWidth(sc *scratch, sid int32, win geom.Rect) int {
+	m := &sc.free[sid]
+	if m.stamp != sc.window {
+		wl, wh := max(l.grid.Lo(sid), win.XLo), min(l.grid.Hi(sid), win.XHi)
+		*m = segFree{stamp: sc.window, w: int32(wh - wl - l.occ.occupiedWidth(sid, wl, wh))}
+	}
+	return int(m.w)
 }
 
 // evaluateInsertion builds the displacement curve for the insertion
@@ -329,18 +349,7 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 	// regions.
 	for r := y; r < y+h; r++ {
 		sid := grid.AtID(r, x0)
-		if sid < 0 || grid.FenceOf(sid) != tf {
-			return plan{}, false
-		}
-		wl, wh := grid.Lo(sid), grid.Hi(sid)
-		if win.XLo > wl {
-			wl = win.XLo
-		}
-		if win.XHi < wh {
-			wh = win.XHi
-		}
-		if wh-wl < tw ||
-			(wh-wl)-l.occ.occupiedWidth(sid, wl, wh) < tw {
+		if sid < 0 || grid.FenceOf(sid) != tf || l.freeWidth(sc, sid, win) < tw {
 			return plan{}, false
 		}
 	}
@@ -348,9 +357,9 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 	// In every span row the nearest cell on each side of x0 is a seed
 	// of that side's chain if it is local; otherwise it, or the segment
 	// end, is a barrier. bar[s] is the target's lowest position on side
-	// s that the barriers allow.
+	// s that the barriers and the window allow.
 	sc.beginPoint()
-	bar := [2]int64{-1 << 60, -1 << 60}
+	bar := [2]int64{int64(win.XLo), -int64(win.XHi)}
 	for r := y; r < y+h; r++ {
 		sid := grid.AtID(r, x0)
 		lst := l.occ.cellsIn(sid)
@@ -375,36 +384,25 @@ func (l *Legalizer) evaluateInsertion(sc *scratch, t model.CellID, y, h, x0 int,
 	}
 
 	// The seeds' bounds decide feasibility. While their chain-size
-	// bounds sum to at most the cap, the cap cannot bind and every local
-	// cell is a member. Otherwise capChain decides membership and the
-	// bounds are taken over its members, unless the floors already
-	// prove the point infeasible.
-	var lim, floor [2]int64
+	// bounds sum to at most the cap, the cap cannot bind, every local
+	// cell is a member and lo is exact. Otherwise lo starts at the
+	// seeds' floors, which already prove most infeasible points
+	// infeasible, and the walk raises it to the capped limit.
+	var lo [2]int64
 	var capped [2]bool
 	for s := left; s <= right; s++ {
-		var n int32
-		lim[s], floor[s], n = l.seedLimit(sc, s, bar[s], win, false)
-		capped[s] = n > sc.capN
-		if !capped[s] {
-			floor[s] = lim[s]
-		}
+		lo[s], capped[s] = l.seedLimit(sc, s, bar[s], win)
 	}
-	if xlo, xhi := targetRange(floor, win, tw); xlo > xhi {
+	if lo[left] > -lo[right]-int64(tw) {
 		return plan{}, false
 	}
-	for s := left; s <= right; s++ {
-		if capped[s] {
-			l.capChain(sc, s, win)
-			lim[s], _, _ = l.seedLimit(sc, s, bar[s], win, true)
-		}
-	}
-	xlo, xhi := targetRange(lim, win, tw)
+	l.walk(sc, left, &lo[left], int64(tw), win, capped[left])
+	nLeft := len(sc.pushed)
+	l.walk(sc, right, &lo[right], int64(tw), win, capped[right])
+	xlo, xhi := lo[left], -lo[right]-int64(tw)
 	if xlo > xhi {
 		return plan{}, false
 	}
-	l.walk(sc, left, xlo, int64(tw), win, capped[left])
-	nLeft := len(sc.pushed)
-	l.walk(sc, right, -xhi-int64(tw), int64(tw), win, capped[right])
 
 	// The summed curve lives in the scratch and is accumulated in
 	// place: the former per-cell curve constructors allocated a curve

@@ -159,7 +159,7 @@ func betterPlan(p, best plan, gy int) bool {
 func (l *Legalizer) bestInWindow(t model.CellID, win geom.Rect, dst *[]move) (plan, bool) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.beginWindow(len(l.hot.X), l.chainCap(win))
+	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(win))
 
 	// Scan candidate rows outward from the GP row (see scanRow) so that
 	// row pruning (PruneSlackRows) can stop early: once the y-cost alone
@@ -536,7 +536,7 @@ func (l *Legalizer) evalRow(k int) {
 	}
 	t := rs.batch[tk.slot]
 	sc := scratchPool.Get().(*scratch)
-	sc.beginWindow(len(l.hot.X), l.chainCap(rs.wins[tk.slot]))
+	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[tk.slot]))
 	p := l.bestInRow(sc, t, int(tk.y), int(l.hot.H[t]), rs.wins[tk.slot], plan{})
 	scratchPool.Put(sc)
 	if p.ok {
@@ -560,7 +560,7 @@ func (l *Legalizer) replay(i int) {
 	tk := &rs.tasks[int(lo)+k]
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.beginWindow(len(l.hot.X), l.chainCap(rs.wins[i]))
+	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[i]))
 	p, ok := l.evaluateInsertion(sc, t, int(tk.y), int(l.hot.H[t]), int(tk.x0), rs.wins[i])
 	if !ok || p.x != int(tk.x) || p.cost != tk.cost.Load() {
 		panic("mgl: re-evaluated insertion point differs from its row task")

@@ -1,6 +1,7 @@
 package mgl
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -52,5 +53,51 @@ func TestParallelSeamRegression(t *testing.T) {
 		if v := eval.Audit(d, grid); len(v) > 0 {
 			t.Fatalf("trial %d: %v (of %d)", trial, v[0], len(v))
 		}
+	}
+}
+
+// A 132-cell reproducer of ROADMAP item 1 (batched commit order strands
+// a cell in a dense region): the design legalizes completely when every
+// batch holds one cell, but at the default BatchCap the run stops with
+// cell 38 unplaced. The fix of item 1 flips the second assertion.
+func TestDenseBatchStrandsCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(1907))
+	var d *model.Design
+	for range 9 {
+		d = randomDesign(rng, 80+rng.Intn(30), 10+rng.Intn(4), 112+rng.Intn(25), true)
+	}
+	if len(d.Cells) != 132 || d.Tech.NumSites != 89 || d.Tech.NumRows != 13 {
+		t.Fatalf("design has %d cells on %d sites x %d rows, want 132 on 89 x 13",
+			len(d.Cells), d.Tech.NumSites, d.Tech.NumRows)
+	}
+	d.Tech.EdgeSpacing = [][]int{{0, 1}, {1, 2}}
+	for i := range d.Types {
+		d.Types[i].EdgeL = uint8(i % 2)
+		d.Types[i].EdgeR = uint8((i + 1) % 2)
+	}
+	run := func(batchCap int) (*Legalizer, error) {
+		dc := d.Clone()
+		grid, err := seg.Build(dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := New(dc, grid, Options{Workers: 1, BatchCap: batchCap})
+		err = l.Run()
+		if err == nil {
+			if v := eval.Audit(dc, grid); len(v) > 0 {
+				t.Fatalf("BatchCap %d: %v (of %d)", batchCap, v[0], len(v))
+			}
+		}
+		return l, err
+	}
+
+	if l, err := run(1); err != nil || l.Stats.Placed != 132 {
+		t.Fatalf("BatchCap 1: placed %d of 132, err %v", l.Stats.Placed, err)
+	}
+	l, err := run(0)
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) || inf.Cell != 38 || l.Stats.Placed != 131 {
+		t.Fatalf("default BatchCap: placed %d, err %v; want 131 and cell 38 infeasible (ROADMAP item 1)",
+			l.Stats.Placed, err)
 	}
 }

@@ -83,9 +83,10 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 // memos, frontiers, curve breakpoints and moves are reused). GC is
 // disabled during the measurement so a pool flush cannot produce a
 // false positive. The second case caps chains at two cells, so that
-// evaluations take the capped path (breadth-first membership and its
-// bounds). The third evaluates the same window as a split one-window
-// batch at Workers 2: row tasks, dispatch to the helper, replay and the
+// evaluations take the capped path (the walk with breadth-first
+// membership); the test checks that some insertion point does. The
+// third evaluates the same window as a split one-window batch at
+// Workers 2: row tasks, dispatch to the helper, replay and the
 // re-evaluation of the winner.
 func TestBestInWindowZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -141,6 +142,24 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	})
 
 	lc := legalizer(Options{Workers: 1, MaxChain: 2})
+	// Some insertion point of the window must walk a capped side, which
+	// starts the breadth-first search from its seeds.
+	var sc scratch
+	sc.beginWindow(len(lc.hot.X), len(lc.grid.Segs), lc.chainCap(win))
+	cappedWalks, h := 0, int(lc.hot.H[tgt])
+	yLo, yHi, _, _ := lc.scanRange(tgt, win)
+	for y := yLo; y <= yHi; y++ {
+		for _, x0 := range lc.insertionReps(&sc, lc.hot.Fence[tgt], y, h, win) {
+			sc.queue = sc.queue[:0]
+			lc.evaluateInsertion(&sc, tgt, y, h, x0, win)
+			if len(sc.queue) > 0 {
+				cappedWalks++
+			}
+		}
+	}
+	if cappedWalks == 0 {
+		t.Fatal("no insertion point of the MaxChain 2 window walks a capped side")
+	}
 	zeroAlloc("bestInWindow with capped chains", func() {
 		if _, ok := lc.bestInWindow(tgt, win, &dst); !ok {
 			t.Fatal("no feasible plan in window")

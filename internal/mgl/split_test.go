@@ -15,7 +15,9 @@ import (
 // randomized mid-run states (a Workers 1 run stopped after a few
 // batches) of designs with multi-height cells, a fence, edge spacing
 // and forbidden rows; each unplaced cell is evaluated in its first
-// four windows at every pruning setting and several worker counts.
+// four windows at every pruning setting and several worker counts,
+// with the default chain cap and with MaxChain 3, whose capped walks
+// then run inside concurrent row tasks.
 func TestSplitBatchMatchesBestInWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4711))
 	ctx := context.Background()
@@ -56,8 +58,9 @@ func TestSplitBatchMatchesBestInWindow(t *testing.T) {
 			}
 		}
 		rs := &l.rs
-		for _, prune := range []int{-1, 1, 0} {
-			l.opt.PruneSlackRows = Options{PruneSlackRows: prune}.withDefaults().PruneSlackRows
+		for _, leg := range []struct{ prune, maxChain int }{{-1, 0}, {1, 0}, {0, 0}, {-1, 3}, {1, 3}, {0, 3}} {
+			l.opt.PruneSlackRows = Options{PruneSlackRows: leg.prune}.withDefaults().PruneSlackRows
+			l.opt.MaxChain = Options{MaxChain: leg.maxChain}.withDefaults().MaxChain
 			for _, workers := range []int{2, 3, 8} {
 				l.opt.Workers = workers
 				pool := l.startPool(ctx)
@@ -78,8 +81,8 @@ func TestSplitBatchMatchesBestInWindow(t *testing.T) {
 						got, gotOK := rs.plans[0], rs.oks[0]
 						if gotOK != wantOK || gotOK && (got.x != want.x || got.y != want.y ||
 							got.cost != want.cost || !slices.Equal(got.moves, want.moves)) {
-							t.Fatalf("trial %d prune %d workers %d cell %d attempt %d: split batch gives %v %+v, bestInWindow %v %+v",
-								trial, prune, workers, id, attempt, gotOK, got, wantOK, want)
+							t.Fatalf("trial %d prune %d MaxChain %d workers %d cell %d attempt %d: split batch gives %v %+v, bestInWindow %v %+v",
+								trial, leg.prune, leg.maxChain, workers, id, attempt, gotOK, got, wantOK, want)
 						}
 					}
 				}
