@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-json vet-concurrency vet-effects race check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
+.PHONY: all build test vet lint vet-json vet-concurrency vet-effects race allocs check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
 
 all: check
 
@@ -67,6 +67,17 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# The allocation witnesses without the race detector, whose
+# instrumentation allocates and whose sync.Pool drops items at random
+# (so the pooled witnesses skip under -race, and `race` cannot enforce
+# them): MGL's window evaluation, the simplex and the matching solver
+# at 0 allocs per reused call, refine and maxdisp at 0 per run on a
+# warm pool, and bmark.Read in proportion to the design's objects.
+# The pattern must keep matching every one of them (the witnesses are
+# named *ZeroAlloc, the gates *Allocs*). `check` runs it.
+allocs:
+	$(GO) test -count=1 -run 'ZeroAlloc|Allocs' ./...
+
 # Fuzz smoke: bounded runs of the .mcl parser fuzzer and its
 # input-limits variant (the committed seed corpora always run as part
 # of plain `go test`).
@@ -95,9 +106,9 @@ chaos:
 
 # The full gate: lint (vet + staticcheck + mclegal-vet) + build + the
 # whole suite under the race detector (includes the worker-count
-# determinism, cancellation and fault-injection tests), plus the fuzz
-# smoke run.
-check: lint build race fuzz
+# determinism, cancellation and fault-injection tests), the allocation
+# witnesses without it, plus the fuzz smoke run.
+check: lint build race allocs fuzz
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

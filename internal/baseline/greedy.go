@@ -14,7 +14,7 @@
 //     the globally optimal fixed-order refinement, standing in for the
 //     QP/LCP formulation (Table 2 column 3).
 //   - Champion: the ICCAD 2017 contest champion stand-in for Table 1 —
-//     a competitive displacement-driven flow (MLL + fixed-order
+//     a competitive displacement-driven legalizer (MLL alone, without
 //     refinement) with **no** routability or edge-spacing awareness, so
 //     it produces the violation profile the contest binary shows in
 //     Table 1. The real champion binary is closed-source; DESIGN.md

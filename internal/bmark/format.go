@@ -2,11 +2,13 @@ package bmark
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"mclegal/internal/geom"
 	"mclegal/internal/model"
@@ -252,16 +254,73 @@ type parser struct {
 	line   int
 	mode   ReadMode
 	limits Limits
+	fields [][]byte // the current line's fields, reused from line to line
 }
 
-func (p *parser) next() ([]string, error) {
+// presizeCap bounds how many items a section header presizes its slice
+// for, so a forged count costs at most a few hundred KiB before the
+// body runs out.
+const presizeCap = 4096
+
+// presize returns an empty slice with room for n items, up to
+// presizeCap. A zero count returns nil, the value a section without
+// items has always had (Design.Clone and the round-trip tests tell nil
+// from empty).
+func presize[T any](n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	return make([]T, 0, min(n, presizeCap))
+}
+
+// splitFields appends the fields of line to dst exactly as
+// strings.Fields splits it. An ASCII line is split in place, at runs of
+// the six ASCII space bytes; a line with any byte >= 0x80 goes to
+// bytes.Fields, which also splits at Unicode white space. The fields
+// alias line.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	for _, b := range line {
+		if b >= utf8.RuneSelf {
+			return append(dst, bytes.Fields(line)...)
+		}
+	}
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace(line[i]) {
+			i++
+		}
+		j := i
+		for j < len(line) && !asciiSpace(line[j]) {
+			j++
+		}
+		if j > i {
+			dst = append(dst, line[i:j:j])
+		}
+		i = j
+	}
+	return dst
+}
+
+// asciiSpace reports whether b is one of the bytes below 0x80 that
+// strings.Fields splits at.
+func asciiSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
+}
+
+// joinFields renders fields as one space-separated string, for the
+// magic line and error messages.
+func joinFields(f [][]byte) string { return string(bytes.Join(f, []byte{' '})) }
+
+// next returns the fields of the next line that is neither blank nor a
+// comment. They alias the scanner's buffer and the parser's field
+// slice, so they are valid until the next call.
+func (p *parser) next() ([][]byte, error) {
 	for p.sc.Scan() {
 		p.line++
-		s := strings.TrimSpace(p.sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
+		p.fields = splitFields(p.fields[:0], p.sc.Bytes())
+		if len(p.fields) == 0 || p.fields[0][0] == '#' {
 			continue
 		}
-		return strings.Fields(s), nil
+		return p.fields, nil
 	}
 	if err := p.sc.Err(); err != nil {
 		var le *LimitError
@@ -284,8 +343,8 @@ func (p *parser) expect(keyword string, dst ...any) error {
 	if err != nil {
 		return err
 	}
-	if f[0] != keyword {
-		return p.errf("want %q, got %q", keyword, f[0])
+	if string(f[0]) != keyword {
+		return p.errf("want %q, got %q", keyword, string(f[0]))
 	}
 	switch {
 	case len(f)-1 < len(dst):
@@ -298,18 +357,20 @@ func (p *parser) expect(keyword string, dst ...any) error {
 		case *string:
 			// Keep the accepted-implies-writable invariant: a '#'-led
 			// name would turn into a comment on the next hand edit.
-			if strings.HasPrefix(f[i+1], "#") {
-				return p.errf("%s: unserializable name %q", keyword, f[i+1])
+			if f[i+1][0] == '#' {
+				return p.errf("%s: unserializable name %q", keyword, string(f[i+1]))
 			}
-			*v = f[i+1]
+			*v = string(f[i+1])
 		case *int:
-			n, err := strconv.Atoi(f[i+1])
+			n, err := strconv.Atoi(string(f[i+1]))
 			if err != nil {
-				return p.errf("%s: bad int %q", keyword, f[i+1])
+				return p.errf("%s: bad int %q", keyword, string(f[i+1]))
 			}
 			*v = n
 		default:
-			return p.errf("%s: internal: unsupported field target %T", keyword, d)
+			// No %T of d here: formatting it would move every field
+			// target of every line to the heap.
+			return p.errf("%s: internal: unsupported target for field %d", keyword, i+1)
 		}
 	}
 	return nil
@@ -352,7 +413,7 @@ func ReadWithMode(r io.Reader, mode ReadMode, opts ...ReadOption) (*model.Design
 		r = cr
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<24)
+	sc.Buffer(make([]byte, 4<<10), 1<<24)
 	p.sc = sc
 
 	d, err := p.readDesign()
@@ -378,8 +439,8 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.Join(f, " ") != formatMagic {
-		return nil, p.errf("bad magic %q", strings.Join(f, " "))
+	if magic := joinFields(f); magic != formatMagic {
+		return nil, p.errf("bad magic %q", magic)
 	}
 	d := &model.Design{}
 	if err := p.expect("name", &d.Name); err != nil {
@@ -399,6 +460,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.EdgeSpacing = presize[[]int](n)
 	for i := 0; i < n; i++ {
 		f, err := p.next()
 		if err != nil {
@@ -409,9 +471,9 @@ func (p *parser) readDesign() (*model.Design, error) {
 		}
 		row := make([]int, n)
 		for j, s := range f {
-			v, err := strconv.Atoi(s)
+			v, err := strconv.Atoi(string(s))
 			if err != nil {
-				return nil, p.errf("bad spacing %q", s)
+				return nil, p.errf("bad spacing %q", string(s))
 			}
 			row[j] = v
 		}
@@ -420,6 +482,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("types"); err != nil {
 		return nil, err
 	}
+	d.Types = presize[model.CellType](n)
 	for i := 0; i < n; i++ {
 		var ct model.CellType
 		var el, er, np int
@@ -430,6 +493,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 		if np < 0 {
 			return nil, p.errf("type %s: negative pin count %d", ct.Name, np)
 		}
+		ct.Pins = presize[model.PinShape](np)
 		for j := 0; j < np; j++ {
 			var pin model.PinShape
 			if err := p.expect("pin", &pin.Name, &pin.Layer,
@@ -443,6 +507,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("fences"); err != nil {
 		return nil, err
 	}
+	d.Fences = presize[model.Fence](n)
 	for i := 0; i < n; i++ {
 		var fe model.Fence
 		var nr int
@@ -452,6 +517,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 		if nr < 0 {
 			return nil, p.errf("fence %s: negative rect count %d", fe.Name, nr)
 		}
+		fe.Rects = presize[geom.Rect](nr)
 		for j := 0; j < nr; j++ {
 			var r geom.Rect
 			if err := p.expect("rect", &r.XLo, &r.YLo, &r.XHi, &r.YHi); err != nil {
@@ -464,6 +530,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("blockages"); err != nil {
 		return nil, err
 	}
+	d.Blockages = presize[geom.Rect](n)
 	for i := 0; i < n; i++ {
 		var r geom.Rect
 		if err := p.expect("rect", &r.XLo, &r.YLo, &r.XHi, &r.YHi); err != nil {
@@ -474,6 +541,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("iopins"); err != nil {
 		return nil, err
 	}
+	d.IOPins = presize[model.IOPin](n)
 	for i := 0; i < n; i++ {
 		var io model.IOPin
 		if err := p.expect("io", &io.Name, &io.Layer,
@@ -485,6 +553,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("cells"); err != nil {
 		return nil, err
 	}
+	d.Cells = presize[model.Cell](n)
 	for i := 0; i < n; i++ {
 		var c model.Cell
 		var ti, fi, fx int
@@ -499,6 +568,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if n, err = p.count("nets"); err != nil {
 		return nil, err
 	}
+	d.Nets = presize[model.Net](n)
 	for i := 0; i < n; i++ {
 		var net model.Net
 		var np int
@@ -508,6 +578,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 		if np < 0 {
 			return nil, p.errf("net %s: negative pin count %d", net.Name, np)
 		}
+		net.Pins = presize[model.NetPin](np)
 		for j := 0; j < np; j++ {
 			var pin model.NetPin
 			var ci int
@@ -522,7 +593,7 @@ func (p *parser) readDesign() (*model.Design, error) {
 	if p.mode == ModeStrict {
 		// Only comments and blanks may follow the final section.
 		if f, err := p.next(); err == nil {
-			return nil, p.errf("trailing content %q after nets section", strings.Join(f, " "))
+			return nil, p.errf("trailing content %q after nets section", joinFields(f))
 		} else if !errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, err
 		}

@@ -7,10 +7,12 @@ import (
 )
 
 // FuzzRead drives the .mcl parser with arbitrary bytes. Invariants:
-// Read never panics or hangs; every error is prefixed "bmark:"; any
-// input strict Read accepts is writable, re-readable, and write-stable,
-// and Write renders it exactly as the fmt oracle does; and lenient mode
-// accepts everything strict mode accepts.
+// the tokenizer splits every line, and the whole input, exactly as
+// strings.Fields does; Read never panics or hangs; every error is
+// prefixed "bmark:"; any input strict Read accepts is writable,
+// re-readable, and write-stable, and Write renders it exactly as the
+// fmt oracle does; and lenient mode accepts everything strict mode
+// accepts.
 func FuzzRead(f *testing.F) {
 	for _, p := range []Params{
 		{Name: "seed1", Seed: 1, Counts: [4]int{20, 4, 1, 1}, Density: 0.5,
@@ -29,8 +31,12 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("MCLEGAL 1\nname x\ntech 10 80 40 4 0 0\nrails 0 0 0 0 0 0 0\nspacing 0\ntypes 1\ntype #t 2 1 0 0 0\n"))
 	f.Add([]byte("cells 99999999999999999999"))
 	f.Add([]byte("# only a comment\n"))
+	f.Add([]byte("MCLEGAL\u00a01\nname\u3000x\r\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range append(bytes.Split(data, []byte("\n")), data) {
+			checkSplit(t, line)
+		}
 		d, err := ReadWithMode(bytes.NewReader(data), ModeStrict)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "bmark:") {

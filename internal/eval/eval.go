@@ -37,7 +37,9 @@ func Audit(d *model.Design, grid *seg.Grid) []Violation {
 		id model.CellID
 		x  geom.Interval
 	}
-	rows := make([][]rowEntry, d.Tech.NumRows)
+	// Each row's cells go into one flat slice: counted here, placed
+	// below in index order (a counting sort), then sorted by x per row.
+	rowEnd := make([]int, d.Tech.NumRows)
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		if c.Fixed {
@@ -57,11 +59,30 @@ func Audit(d *model.Design, grid *seg.Grid) []Violation {
 			add(id, -1, "fence", "rect %v not inside fence-%d segments", r, c.Fence)
 		}
 		for y := r.YLo; y < r.YHi; y++ {
-			rows[y] = append(rows[y], rowEntry{id: id, x: r.XIv()})
+			rowEnd[y]++
 		}
 	}
-	for y := range rows {
-		es := rows[y]
+	total := 0
+	for y, n := range rowEnd {
+		rowEnd[y] = total // row y's start; the fill below advances it to its end
+		total += n
+	}
+	entries := make([]rowEntry, total)
+	for i := range d.Cells {
+		id := model.CellID(i)
+		r := d.CellRect(id)
+		if d.Cells[i].Fixed || !core.Contains(r) {
+			continue
+		}
+		for y := r.YLo; y < r.YHi; y++ {
+			entries[rowEnd[y]] = rowEntry{id: id, x: r.XIv()}
+			rowEnd[y]++
+		}
+	}
+	start := 0
+	for y, end := range rowEnd {
+		es := entries[start:end]
+		start = end
 		sort.Slice(es, func(a, b int) bool { return es[a].x.Lo < es[b].x.Lo })
 		for k := 1; k < len(es); k++ {
 			if es[k-1].x.Overlaps(es[k].x) {

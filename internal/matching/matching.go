@@ -10,8 +10,9 @@
 // to assignment problems for an O(n^3) bound.
 //
 // The one entrypoint is (*Solver).Solve. A Solver owns all scratch
-// arrays (u/v/p/way/minv/used) and is reused across instances, so the
-// per-(type×fence) groups of one design sweep share its storage.
+// arrays (u/v/p/way/minv/used and the n×n cost matrix) and is reused
+// across instances, so the per-(type×fence) groups of one design sweep
+// share its storage.
 package matching
 
 import (
@@ -39,6 +40,10 @@ type Solver struct {
 	minv   []int64 // per-column min reduced cost this phase
 	used   []bool  // columns on the alternating tree this phase
 	assign []int
+	// c is the n×n cost matrix, row-major and 0-based: Solve prices
+	// every pair once, and the augment phases read its rows, each of
+	// them many times.
+	c []int64
 }
 
 // grow sizes the scratch arrays for an n-row instance, reallocating
@@ -65,11 +70,19 @@ func (sv *Solver) grow(n int) {
 	} else {
 		sv.assign = sv.assign[:n]
 	}
+	if cap(sv.c) < n*n {
+		sv.c = make([]int64, n*n)
+	} else {
+		sv.c = sv.c[:n*n]
+	}
 }
 
 // Solve computes a minimum-cost perfect matching between n "rows"
 // (cells) and n "columns" (positions). cost(i,j) is the cost of
 // assigning row i to column j; return Forbidden to rule a pair out.
+// cost must be pure: Solve calls it once per pair, in row-major order,
+// before the first augment phase, and keeps the n×n results (8n² bytes
+// of solver-owned storage).
 //
 // It returns assign with assign[i] = column matched to row i and the
 // total cost. ok is false if no perfect matching avoiding Forbidden
@@ -82,6 +95,12 @@ func (sv *Solver) Solve(ctx context.Context, n int, cost func(i, j int) int64) (
 		return nil, 0, true, nil
 	}
 	sv.grow(n)
+	for i := 0; i < n; i++ {
+		row := sv.c[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = cost(i, j) //mclegal:writeset cost is a caller-supplied pure pricing closure; it receives indices by value and no resident state
+		}
+	}
 	for j := range sv.u {
 		sv.u[j] = 0
 		sv.v[j] = 0
@@ -101,13 +120,13 @@ func (sv *Solver) Solve(ctx context.Context, n int, cost func(i, j int) int64) (
 		for j := range sv.used {
 			sv.used[j] = false
 		}
-		if !sv.augmentRow(i, n, cost) {
+		if !sv.augmentRow(i, n) {
 			return nil, 0, false, nil // no augmenting path
 		}
 	}
 	for j := 1; j <= n; j++ {
 		sv.assign[sv.p[j]-1] = j - 1
-		c := cost(sv.p[j]-1, j-1) //mclegal:writeset cost is a caller-supplied pure pricing closure; it receives indices by value and no resident state
+		c := sv.c[(sv.p[j]-1)*n+j-1]
 		if c >= Forbidden {
 			return nil, 0, false, nil
 		}
@@ -122,20 +141,20 @@ func (sv *Solver) Solve(ctx context.Context, n int, cost func(i, j int) int64) (
 // when no augmenting path exists.
 //
 //mclegal:hotpath matching augment phase; TestSolverReuseZeroAlloc pins reused Solvers to 0 allocs/op
-func (sv *Solver) augmentRow(i, n int, cost func(i, j int) int64) bool {
+func (sv *Solver) augmentRow(i, n int) bool {
 	sv.p[0] = i
 	j0 := 0
 	for {
 		sv.used[j0] = true
 		i0 := sv.p[j0]
+		row := sv.c[(i0-1)*n : i0*n]
 		var delta int64 = inf
 		j1 := -1
 		for j := 1; j <= n; j++ {
 			if sv.used[j] {
 				continue
 			}
-			//mclegal:alloc cost is a caller-supplied closure; its own allocation behaviour is the caller's
-			cur := cost(i0-1, j-1) - sv.u[i0] - sv.v[j] //mclegal:writeset cost is a caller-supplied pure pricing closure; it receives indices by value and no resident state
+			cur := row[j-1] - sv.u[i0] - sv.v[j]
 			if cur < sv.minv[j] {
 				sv.minv[j] = cur
 				sv.way[j] = j0

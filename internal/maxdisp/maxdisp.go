@@ -11,10 +11,12 @@
 package maxdisp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"mclegal/internal/faults"
 	"mclegal/internal/geom"
@@ -29,7 +31,8 @@ type Options struct {
 	Delta0Rows float64
 	// MaxGroup caps the matching size; larger groups are split into
 	// spatially coherent chunks (the paper is silent on group-size
-	// handling; exact matching is cubic). Zero means 400.
+	// handling; exact matching is cubic). Zero means 400. The matching
+	// keeps the chunk's n×n cost matrix: 8n² bytes, 1.2 MiB at 400.
 	MaxGroup int
 	// Faults is the optional fault-injection harness; the armed
 	// faults.MatchingFail point fails the optimization before any
@@ -97,64 +100,63 @@ func OptimizeContext(ctx context.Context, d *model.Design, opt Options) (Stats, 
 	}
 	delta0 := int64(opt.Delta0Rows * float64(d.Tech.RowH))
 
-	type key struct {
-		t model.CellTypeID
-		f model.FenceID
-	}
-	var sv matching.Solver
-	groups := make(map[key][]model.CellID)
+	ws := workspacePool.Get().(*workspace)
+	defer workspacePool.Put(ws)
+	// One sort of the movables by (type, fence, Y, X, ID) lays out the
+	// groups as runs in the order they are solved, each ordered by
+	// current (Y, X) for the chunking below. A group's swaps move only
+	// its own cells, so sorting every group up front orders each one as
+	// sorting it just before its matching would.
+	ids := ws.ids[:0]
 	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Fixed {
-			continue
+		if !d.Cells[i].Fixed {
+			ids = append(ids, model.CellID(i))
 		}
-		k := key{t: c.Type, f: c.Fence}
-		groups[k] = append(groups[k], model.CellID(i))
 	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].t != keys[b].t {
-			return keys[a].t < keys[b].t
+	ws.ids = ids
+	slices.SortFunc(ids, func(a, b model.CellID) int {
+		ca, cb := &d.Cells[a], &d.Cells[b]
+		switch {
+		case ca.Type != cb.Type:
+			return cmp.Compare(ca.Type, cb.Type)
+		case ca.Fence != cb.Fence:
+			return cmp.Compare(ca.Fence, cb.Fence)
+		case ca.Y != cb.Y:
+			return cmp.Compare(ca.Y, cb.Y)
+		case ca.X != cb.X:
+			return cmp.Compare(ca.X, cb.X)
 		}
-		return keys[a].f < keys[b].f
+		return cmp.Compare(a, b)
 	})
 
-	for _, k := range keys {
+	for next := 0; next < len(ids); {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		ids := groups[k]
-		if len(ids) < 2 {
+		first := &d.Cells[ids[next]]
+		end := next + 1
+		for end < len(ids) && d.Cells[ids[end]].Type == first.Type && d.Cells[ids[end]].Fence == first.Fence {
+			end++
+		}
+		group := ids[next:end]
+		next = end
+		if len(group) < 2 {
 			continue
 		}
-		// Spatially coherent chunks when the group exceeds the cap:
-		// order by current (Y, X) and split.
-		sort.Slice(ids, func(a, b int) bool {
-			ca, cb := &d.Cells[ids[a]], &d.Cells[ids[b]]
-			if ca.Y != cb.Y {
-				return ca.Y < cb.Y
-			}
-			if ca.X != cb.X {
-				return ca.X < cb.X
-			}
-			return ids[a] < ids[b]
-		})
-		for lo := 0; lo < len(ids); lo += opt.MaxGroup {
+		// Spatially coherent chunks when the group exceeds the cap.
+		for lo := 0; lo < len(group); lo += opt.MaxGroup {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
 			hi := lo + opt.MaxGroup
-			if hi > len(ids) {
-				hi = len(ids)
+			if hi > len(group) {
+				hi = len(group)
 			}
 			if hi-lo < 2 {
 				continue
 			}
 			st.Groups++
-			if err := optimizeGroup(ctx, d, &sv, ids[lo:hi], delta0, &st); err != nil {
+			if err := optimizeGroup(ctx, d, ws, group[lo:hi], delta0, &st); err != nil {
 				return st, err
 			}
 		}
@@ -162,13 +164,29 @@ func OptimizeContext(ctx context.Context, d *model.Design, opt Options) (Stats, 
 	return st, nil
 }
 
+// workspace is one optimization's working storage: the matching solver
+// with its cost matrix, the sorted movables and one group's positions.
+// Runs take it from workspacePool, so a run reuses what an earlier one
+// grew.
+type workspace struct {
+	sv  matching.Solver
+	ids []model.CellID
+	pos []geom.Pt
+}
+
+// workspacePool hands out workspaces to concurrent optimizations.
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
 // optimizeGroup re-assigns one group of interchangeable cells to the
 // multiset of their positions. The ctx flows into the assignment
 // solver, where a large group's O(n^3) solve is the bulk of the
 // stage's work.
-func optimizeGroup(ctx context.Context, d *model.Design, sv *matching.Solver, ids []model.CellID, delta0 int64, st *Stats) error {
+func optimizeGroup(ctx context.Context, d *model.Design, ws *workspace, ids []model.CellID, delta0 int64, st *Stats) error {
 	n := len(ids)
-	pos := make([]geom.Pt, n)
+	if cap(ws.pos) < n {
+		ws.pos = make([]geom.Pt, n)
+	}
+	pos := ws.pos[:n]
 	for i, id := range ids {
 		pos[i] = geom.Pt{X: d.Cells[id].X, Y: d.Cells[id].Y}
 	}
@@ -182,7 +200,7 @@ func optimizeGroup(ctx context.Context, d *model.Design, sv *matching.Solver, id
 	for i := 0; i < n; i++ {
 		before += cost(i, i)
 	}
-	assign, after, ok, err := sv.Solve(ctx, n, cost)
+	assign, after, ok, err := ws.sv.Solve(ctx, n, cost)
 	if err != nil {
 		return err
 	}

@@ -64,6 +64,20 @@ func NewGraph(n int) *Graph {
 	return &Graph{supply: make([]int64, n)}
 }
 
+// Reset empties g to n nodes with zero supplies and no arcs, keeping
+// its storage, so a caller that builds one network per run reuses the
+// arrays of the previous one.
+func (g *Graph) Reset(n int) {
+	if cap(g.supply) < n {
+		g.supply = make([]int64, n)
+	} else {
+		g.supply = g.supply[:n]
+		clear(g.supply)
+	}
+	g.arcs = g.arcs[:0]
+	g.err = nil
+}
+
 // AddNode appends a node and returns its index.
 func (g *Graph) AddNode() int {
 	g.supply = append(g.supply, 0)

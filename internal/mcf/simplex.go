@@ -20,11 +20,13 @@ const (
 )
 
 // autoArcThreshold is the instance size (arcs + artificial arcs) above
-// which Solve switches from firstEligible to candidateList: the
-// candidate list only pays for its major scans on instances with
-// enough arcs to amortize them. BenchmarkPivotRules measures both
-// rules on either side of it. Moving it can change which of several
-// equal-cost optima refinement returns, and so the placements.
+// which Solve switches from firstEligible to candidateList. It was set
+// from BenchmarkPivotRules' hub-shaped refinement family, where the
+// candidate list's major scans pay off from about 2,300 arcs; on
+// networks shaped like refine's own (the placement family, and every
+// suite design) first-eligible is faster at every size
+// (EXPERIMENTS.md, "Pivot rule"). Moving it can change which of
+// several equal-cost optima refinement returns, and so the placements.
 const autoArcThreshold = 4096
 
 // ruleFor picks the pivot rule for an instance with total arcs (real

@@ -56,10 +56,16 @@ func TestParallelSeamRegression(t *testing.T) {
 	}
 }
 
-// A 132-cell reproducer of ROADMAP item 1 (batched commit order strands
-// a cell in a dense region): the design legalizes completely when every
-// batch holds one cell, but at the default BatchCap the run stops with
-// cell 38 unplaced. The fix of item 1 flips the second assertion.
+// A 132-cell case where MGL strands a cell in a dense region: the
+// design legalizes completely when every batch holds one cell, but at
+// the default BatchCap the run stops with cell 38 unplaced. This is not
+// des_perf_1's failure (ROADMAP item 1): the design has no routability
+// rules, so restricted-first ordering leaves it failing. The multi-row
+// cells of row 11 also span rows 10 or 12, which have almost no free
+// sites, so row 11's free sites cannot merge into one gap wide enough
+// for the cell; whether MGL succeeds is greedy luck. ROADMAP item 1's
+// "A second case" paragraph records the analysis. Only a repair that
+// moves committed cells between rows would flip the second assertion.
 func TestDenseBatchStrandsCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(1907))
 	var d *model.Design
@@ -97,7 +103,7 @@ func TestDenseBatchStrandsCell(t *testing.T) {
 	l, err := run(0)
 	var inf *InfeasibleError
 	if !errors.As(err, &inf) || inf.Cell != 38 || l.Stats.Placed != 131 {
-		t.Fatalf("default BatchCap: placed %d, err %v; want 131 and cell 38 infeasible (ROADMAP item 1)",
+		t.Fatalf("default BatchCap: placed %d, err %v; want 131 and cell 38 infeasible (ROADMAP item 1, second case)",
 			l.Stats.Placed, err)
 	}
 }

@@ -89,7 +89,7 @@ func TestPrefixWidthMatchesNaive(t *testing.T) {
 // Workers 2: row tasks, dispatch to the helper, replay and the
 // re-evaluation of the winner.
 func TestBestInWindowZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
 	}
 	d := newDesign(120, 8)

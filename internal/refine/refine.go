@@ -11,10 +11,11 @@
 package refine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"mclegal/internal/faults"
@@ -53,10 +54,10 @@ type Options struct {
 	// infeasibility instead of solving. Nil disables injection.
 	Faults *faults.Injector
 	// Solver, when non-nil, is the simplex solver the refinement runs
-	// on; a caller that refines repeatedly can pass one Solver to keep
-	// its scratch arrays. Every solve starts cold, so the result does
-	// not depend on what the Solver solved before. Nil solves with a
-	// private solver.
+	// on. Every solve starts cold, so the result does not depend on
+	// what the Solver solved before. Nil solves on the solver of a
+	// pooled workspace, which already keeps its scratch arrays from one
+	// refinement to the next.
 	Solver *mcf.Solver
 }
 
@@ -85,6 +86,45 @@ func Optimize(d *model.Design, grid *seg.Grid, opt Options) (Report, error) {
 	return OptimizeContext(context.Background(), d, grid, opt)
 }
 
+// edge is one neighbor constraint x_j - x_i >= gap between movable
+// cells i and j (indices into the run's movable list).
+type edge struct {
+	i, j int
+	gap  int64
+}
+
+// slot is movable cell k's place in row r, at x.
+type slot struct{ r, x, k int }
+
+// workspace is one refinement's working storage: the flow network, the
+// simplex solver used when Options.Solver is nil, and the per-cell
+// arrays. Runs take it from workspacePool, so a run reuses what an
+// earlier one grew. Every array is resized and written before it is
+// read, and nothing a run returns aliases it.
+type workspace struct {
+	g         mcf.Graph
+	sv        mcf.Solver
+	ids       []model.CellID
+	weights   []int64
+	lo, hi    []int64
+	dy        []int64
+	perHeight []int // movable cells per height
+	slots     []slot
+	edges     []edge
+}
+
+// workspacePool hands out workspaces to concurrent refinements.
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// resize returns s with length n, reallocating only when n outgrows its
+// capacity. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // OptimizeContext is Optimize under a context. Cancellation is checked
 // before the network is built and again before the simplex solve; cell
 // positions are only written after a completed solve, so a cancelled
@@ -96,30 +136,39 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
+	ws := workspacePool.Get().(*workspace)
+	defer workspacePool.Put(ws)
 	// Movable cell indexing.
-	var ids []model.CellID
+	ids := ws.ids[:0]
 	for i := range d.Cells {
 		if !d.Cells[i].Fixed {
 			ids = append(ids, model.CellID(i))
 		}
 	}
+	ws.ids = ids
 	m := len(ids)
 	if m == 0 {
 		return rep, nil
 	}
 
 	// Weights n_i.
-	weights := make([]int64, m)
+	weights := resize(ws.weights, m)
+	ws.weights = weights
 	switch opt.Weights {
 	case WeightUniform:
 		for k := range weights {
 			weights[k] = 1
 		}
 	default:
-		counts := map[int]int{}
+		counts := ws.perHeight[:0]
 		for _, id := range ids {
-			counts[d.Types[d.Cells[id].Type].Height]++
+			h := d.Types[d.Cells[id].Type].Height
+			for len(counts) <= h {
+				counts = append(counts, 0)
+			}
+			counts[h]++
 		}
+		ws.perHeight = counts
 		for k, id := range ids {
 			h := d.Types[d.Cells[id].Type].Height
 			w := int64(4*m) / int64(counts[h])
@@ -132,63 +181,62 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 
 	// Neighbor constraints E: consecutive movable cells per row, with
 	// the gap inflated by the edge-spacing rule (the paper's "filler"
-	// treatment).
-	type edge struct {
-		i, j int
-		gap  int64
-	}
-	edgeKey := func(i, j int) int64 { return int64(i)*int64(m) + int64(j) }
-	edgeGap := make(map[int64]int64)
-	rows := make([][]int, d.Tech.NumRows)
+	// treatment). One sort of every cell's (row, x, index) slots orders
+	// all rows at once.
+	slots := ws.slots[:0]
 	for k, id := range ids {
 		c := &d.Cells[id]
-		h := d.Types[c.Type].Height
-		for r := c.Y; r < c.Y+h; r++ {
-			rows[r] = append(rows[r], k)
+		for r := c.Y; r < c.Y+d.Types[c.Type].Height; r++ {
+			slots = append(slots, slot{r: r, x: c.X, k: k})
 		}
 	}
-	for r := range rows {
-		lst := rows[r]
-		sort.Slice(lst, func(a, b int) bool {
-			ca, cb := &d.Cells[ids[lst[a]]], &d.Cells[ids[lst[b]]]
-			if ca.X != cb.X {
-				return ca.X < cb.X
-			}
-			return lst[a] < lst[b]
-		})
-		for p := 1; p < len(lst); p++ {
-			i, j := lst[p-1], lst[p]
-			ci, cj := &d.Cells[ids[i]], &d.Cells[ids[j]]
-			// Only cells in the same segment constrain each other; a
-			// blockage between them is encoded in their ranges.
-			si, okI := grid.At(r, ci.X)
-			sj, okJ := grid.At(r, cj.X)
-			if !okI || !okJ || si.ID != sj.ID {
-				continue
-			}
-			ti, tj := &d.Types[ci.Type], &d.Types[cj.Type]
-			gap := int64(ti.Width) + int64(d.Tech.Spacing(ti.EdgeR, tj.EdgeL))
-			if old, ok := edgeGap[edgeKey(i, j)]; !ok || gap > old {
-				edgeGap[edgeKey(i, j)] = gap
-			}
+	ws.slots = slots
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.r != b.r {
+			return cmp.Compare(a.r, b.r)
 		}
+		if a.x != b.x {
+			return cmp.Compare(a.x, b.x)
+		}
+		return cmp.Compare(a.k, b.k)
+	})
+	edges := ws.edges[:0]
+	for p := 1; p < len(slots); p++ {
+		r, i, j := slots[p].r, slots[p-1].k, slots[p].k
+		if slots[p-1].r != r {
+			continue
+		}
+		ci, cj := &d.Cells[ids[i]], &d.Cells[ids[j]]
+		// Only cells in the same segment constrain each other; a
+		// blockage between them is encoded in their ranges.
+		si, okI := grid.At(r, ci.X)
+		sj, okJ := grid.At(r, cj.X)
+		if !okI || !okJ || si.ID != sj.ID {
+			continue
+		}
+		ti, tj := &d.Types[ci.Type], &d.Types[cj.Type]
+		gap := int64(ti.Width) + int64(d.Tech.Spacing(ti.EdgeR, tj.EdgeL))
+		edges = append(edges, edge{i: i, j: j, gap: gap})
 	}
-	// Iterate edgeGap in sorted key order: the key i*m+j orders edges by
-	// (i, j), so the edge list is deterministic without a second sort.
-	edgeKeys := make([]int64, 0, len(edgeGap))
-	for k := range edgeGap {
-		edgeKeys = append(edgeKeys, k)
-	}
-	slices.Sort(edgeKeys)
-	edges := make([]edge, 0, len(edgeKeys))
-	for _, k := range edgeKeys {
-		edges = append(edges, edge{i: int(k / int64(m)), j: int(k % int64(m)), gap: edgeGap[k]})
-	}
+	// A pair of multi-row cells meets once per shared row: order the
+	// constraints by (i, j), largest gap first, and keep the first of
+	// each pair, so the list is sorted by (i, j) and deterministic.
+	slices.SortFunc(edges, func(a, b edge) int {
+		if a.i != b.i {
+			return cmp.Compare(a.i, b.i)
+		}
+		if a.j != b.j {
+			return cmp.Compare(a.j, b.j)
+		}
+		return cmp.Compare(b.gap, a.gap)
+	})
+	edges = slices.CompactFunc(edges, func(a, b edge) bool { return a.i == b.i && a.j == b.j })
+	ws.edges = edges
 	rep.Edges = len(edges)
 
 	// Feasible ranges [l_i, r_i] for the left edge, in sites.
-	lo := make([]int64, m)
-	hi := make([]int64, m)
+	lo, hi := resize(ws.lo, m), resize(ws.hi, m)
+	ws.lo, ws.hi = lo, hi
 	for k, id := range ids {
 		c := &d.Cells[id]
 		ct := &d.Types[c.Type]
@@ -221,9 +269,11 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 
 	// y-displacements in site units for the extension.
 	useExt := opt.MaxDispWeight > 0
-	dy := make([]int64, m)
+	var dy []int64
 	var maxDy int64
 	if useExt {
+		dy = resize(ws.dy, m)
+		ws.dy = dy
 		for k, id := range ids {
 			c := &d.Cells[id]
 			dyDBU := int64(geom.Abs(c.Y-c.GY)) * int64(d.Tech.RowH)
@@ -250,7 +300,8 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 		p, nn = m+1, m+2
 		nNodes = m + 3
 	}
-	g := mcf.NewGraph(nNodes)
+	g := &ws.g
+	g.Reset(nNodes)
 	for k := range ids {
 		gx := int64(d.Cells[ids[k]].GX)
 		g.AddArc(k, z, weights[k], gx)  // f_i^+
@@ -281,7 +332,7 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 	}
 	sv := opt.Solver
 	if sv == nil {
-		sv = mcf.NewSolver()
+		sv = &ws.sv
 	}
 	//mclegal:wallclock solve timing feeds Report.SolveNs (observability), never placement
 	solveStart := time.Now()

@@ -206,7 +206,9 @@ func (c *Checker) Count() Violations {
 		id model.CellID
 		x  geom.Interval
 	}
-	rows := make([][]entry, d.Tech.NumRows)
+	// Each row's cells go into one flat slice: counted here, placed
+	// below in index order (a counting sort), then sorted by x per row.
+	rowEnd := make([]int, d.Tech.NumRows)
 	for i := range d.Cells {
 		cell := &d.Cells[i]
 		if cell.Fixed {
@@ -222,28 +224,46 @@ func (c *Checker) Count() Violations {
 				v.PinAccess++
 			}
 		}
-		r := d.CellRect(model.CellID(i))
-		for y := r.YLo; y < r.YHi; y++ {
-			rows[y] = append(rows[y], entry{id: model.CellID(i), x: r.XIv()})
+		for y := cell.Y; y < cell.Y+d.Types[ct].Height; y++ {
+			rowEnd[y]++
 		}
 	}
-	if len(d.Tech.EdgeSpacing) > 0 {
-		for y := range rows {
-			es := rows[y]
-			sort.Slice(es, func(a, b int) bool { return es[a].x.Lo < es[b].x.Lo })
-			for k := 1; k < len(es); k++ {
-				a, b := es[k-1], es[k]
-				ca, cb := &d.Cells[a.id], &d.Cells[b.id]
-				need := d.Tech.Spacing(d.Types[ca.Type].EdgeR, d.Types[cb.Type].EdgeL)
-				if need == 0 || b.x.Lo-a.x.Hi >= need {
-					continue
-				}
-				// Count each violating pair once, on the bottom-most
-				// shared row.
-				ra, rb := d.CellRect(a.id), d.CellRect(b.id)
-				if y == maxInt(ra.YLo, rb.YLo) {
-					v.EdgeSpacing++
-				}
+	if len(d.Tech.EdgeSpacing) == 0 {
+		return v
+	}
+	total := 0
+	for y, n := range rowEnd {
+		rowEnd[y] = total // row y's start; the fill below advances it to its end
+		total += n
+	}
+	entries := make([]entry, total)
+	for i := range d.Cells {
+		if d.Cells[i].Fixed {
+			continue
+		}
+		r := d.CellRect(model.CellID(i))
+		for y := r.YLo; y < r.YHi; y++ {
+			entries[rowEnd[y]] = entry{id: model.CellID(i), x: r.XIv()}
+			rowEnd[y]++
+		}
+	}
+	start := 0
+	for y, end := range rowEnd {
+		es := entries[start:end]
+		start = end
+		sort.Slice(es, func(a, b int) bool { return es[a].x.Lo < es[b].x.Lo })
+		for k := 1; k < len(es); k++ {
+			a, b := es[k-1], es[k]
+			ca, cb := &d.Cells[a.id], &d.Cells[b.id]
+			need := d.Tech.Spacing(d.Types[ca.Type].EdgeR, d.Types[cb.Type].EdgeL)
+			if need == 0 || b.x.Lo-a.x.Hi >= need {
+				continue
+			}
+			// Count each violating pair once, on the bottom-most
+			// shared row.
+			ra, rb := d.CellRect(a.id), d.CellRect(b.id)
+			if y == maxInt(ra.YLo, rb.YLo) {
+				v.EdgeSpacing++
 			}
 		}
 	}
