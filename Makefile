@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-json vet-concurrency vet-effects race allocs check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
+.PHONY: all build test vet lint vet-json race allocs check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
 
 all: check
 
@@ -30,34 +30,10 @@ lint: vet
 
 # Machine-readable diagnostics: the same analyzer suite as lint, as a
 # stable position-sorted JSON array (file/line/column/analyzer/message)
-# for editor and CI-annotation tooling. Exit codes match the text mode.
+# for editor and CI-annotation tooling; the CI lint job archives this
+# report. Exit codes match the text mode.
 vet-json:
 	$(GO) run ./cmd/mclegal-vet -json ./...
-
-# The concurrency analyzers alone, as JSON, over the packages that
-# spawn or synchronize (scope.ConcurrencyScope mirrored here): the
-# focused gate the CI vet-concurrency job runs and archives. A clean
-# run writes [] to vet-concurrency.json; any finding fails the target
-# after the file is written.
-vet-concurrency:
-	$(GO) run ./cmd/mclegal-vet -run goleak,lockguard,sharedwrite -json \
-		./internal/mgl ./internal/stage ./internal/shard \
-		./internal/serve ./internal/faults ./cmd/mclegald \
-		> vet-concurrency.json; \
-	status=$$?; cat vet-concurrency.json; exit $$status
-
-# The write-effect analyzers alone, as JSON, over the whole module (the
-# analyzers scope themselves: writeset to the deterministic core,
-# snapshotsafe to the gated stages, aliasleak to the serve layer, each
-# pulling in its closure). The CI vet-effects job runs this and
-# archives the report, so the rollback-completeness and resident-state
-# isolation proofs of every push are inspectable. A clean run writes []
-# to vet-effects.json; any finding fails the target after the file is
-# written.
-vet-effects:
-	$(GO) run ./cmd/mclegal-vet -run writeset,snapshotsafe,aliasleak -json \
-		./... > vet-effects.json; \
-	status=$$?; cat vet-effects.json; exit $$status
 
 test:
 	$(GO) test ./...

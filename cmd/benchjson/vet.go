@@ -40,8 +40,8 @@ type vetReport struct {
 }
 
 // sweepVet times the full analyzer suite over the same scoped program
-// the suite test and the CI vet-effects job use: the union of every
-// analyzer's scope list plus the write-effect and hot-path closures.
+// the suite test uses: the union of every analyzer's scope list plus
+// the write-effect and hot-path closures.
 func sweepVet() vetReport {
 	root, err := findModuleRoot()
 	if err != nil {

@@ -31,10 +31,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mclegal/internal/analysis/framework"
-	"mclegal/internal/analysis/scope"
 	"mclegal/internal/analysis/writeloc"
 )
 
@@ -49,32 +47,10 @@ var Analyzer = &framework.Analyzer{
 	Scope:     ServeScope,
 	Directive: "aliasleak",
 	Example:   "//mclegal:aliasleak the callee is the store's own eviction hook and holds the lock",
-	Run:       run,
+	Program:   findings,
 }
 
-// Keep scope referenced for -explain consumers building on the shared
-// lists; aliasleak's own scope is the serve layer only.
-var _ = scope.DeterministicCore
-
-type finding struct {
-	pkg *types.Package
-	pos token.Pos
-	msg string
-}
-
-type alState struct {
-	findings []finding
-}
-
-func state(prog *framework.Program) (*alState, error) {
-	v, err := prog.CacheLoad("aliasleak", func() (any, error) { return computeState(prog) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*alState), nil
-}
-
-func computeState(prog *framework.Program) (*alState, error) {
+func findings(prog *framework.Program) ([]framework.Finding, error) {
 	effects, vocab, err := writeloc.Effects(prog)
 	if err != nil {
 		return nil, err
@@ -83,257 +59,135 @@ func computeState(prog *framework.Program) (*alState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &alState{}
+	c := &checker{cg: cg, effects: effects, vocab: vocab}
 	for _, pkg := range prog.Pkgs {
 		if !framework.PathMatchesAny(pkg.Path, ServeScope) {
 			continue
 		}
+		c.info = pkg.Info
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					c.taint = c.storeTaint()
+					c.taint.Solve(fd.Body)
+					c.sinks(fd)
 				}
-				ft := &funcTaint{
-					st: st, pkg: pkg, cg: cg, effects: effects, vocab: vocab,
-					tainted: make(map[*types.Var]bool),
-				}
-				ft.analyze(fd)
 			}
 		}
 	}
-	sort.Slice(st.findings, func(i, j int) bool { return st.findings[i].pos < st.findings[j].pos })
-	return st, nil
+	return c.out, nil
 }
 
-type funcTaint struct {
-	st      *alState
-	pkg     *framework.Package
+// checker screens the serve layer one function at a time: taint is
+// set up per function, findings accumulate in out.
+type checker struct {
 	cg      *framework.CallGraph
 	effects map[*framework.Node]*framework.WriteEffects
 	vocab   *writeloc.Vocab
-	tainted map[*types.Var]bool
+	info    *types.Info
+	taint   *framework.Taint
+	out     []framework.Finding
 }
 
-func (ft *funcTaint) report(pos token.Pos, format string, args ...any) {
-	ft.st.findings = append(ft.st.findings, finding{
-		pkg: ft.pkg.Types, pos: pos, msg: fmt.Sprintf(format, args...),
-	})
+func (c *checker) report(pos token.Pos, format string, args ...any) {
+	c.out = append(c.out, framework.Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-func (ft *funcTaint) analyze(fd *ast.FuncDecl) {
-	// Taint fixpoint over bindings, then one sink pass.
-	for i := 0; i < 32; i++ {
-		changed := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range s.Lhs {
-					rhs := pairedRhs(s, i)
-					if rhs == nil {
-						continue
-					}
-					if v := ft.localOf(lhs); v != nil && !ft.tainted[v] && ft.taintedExpr(rhs) {
-						ft.tainted[v] = true
-						changed = true
-					}
-				}
-			case *ast.RangeStmt:
-				if s.X != nil && (ft.taintedExpr(s.X) || ft.isStoreMap(s.X)) {
-					for _, e := range []ast.Expr{s.Key, s.Value} {
-						if v := ft.localOf(e); v != nil && !ft.tainted[v] && ft.vocab.Reaches(v.Type()) {
-							ft.tainted[v] = true
-							changed = true
-						}
-					}
-				}
-			}
+// storeTaint sets up the taint of one function: values read out of a
+// store (indexing or ranging over a store map) and anything derived
+// from them, including the result of any call on a tainted operand,
+// except through Clone(). Values whose type cannot reach resident
+// state are never tainted (len(d.Cells) is just an int).
+func (c *checker) storeTaint() *framework.Taint {
+	t := &framework.Taint{
+		Info:    c.info,
+		Elems:   c.isStoreMap,
+		Stop:    isClone,
+		Carries: c.vocab.Reaches,
+	}
+	t.Source = func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		recv, args := framework.SplitOperands(c.info, call)
+		if t.Tainted(recv) {
 			return true
-		})
-		if !changed {
-			break
 		}
-	}
-	ft.sinks(fd)
-}
-
-// pairedRhs matches one lhs of an assignment with its rhs: 1:1 for
-// parallel assignment, the single rhs for multi-value binds (a call or
-// map index; the taint of the whole rhs flows to each non-blank lhs).
-func pairedRhs(s *ast.AssignStmt, i int) ast.Expr {
-	if len(s.Rhs) == len(s.Lhs) {
-		return s.Rhs[i]
-	}
-	if len(s.Rhs) == 1 {
-		return s.Rhs[0]
-	}
-	return nil
-}
-
-func (ft *funcTaint) localOf(e ast.Expr) *types.Var {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	var obj types.Object
-	if def, ok := ft.pkg.Info.Defs[id]; ok {
-		obj = def
-	} else {
-		obj = ft.pkg.Info.Uses[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() || isPkgLevel(v) {
-		return nil
-	}
-	return v
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// taintedExpr reports whether e denotes (or derives from) a
-// store-resident value. Values whose type cannot reach resident state
-// are never tainted (len(d.Cells) is just an int).
-func (ft *funcTaint) taintedExpr(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	if t := ft.pkg.Info.TypeOf(e); t != nil && !ft.vocab.Reaches(t) {
-		return false
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		v, ok := ft.pkg.Info.Uses[x].(*types.Var)
-		return ok && ft.tainted[v]
-	case *ast.IndexExpr:
-		return ft.isStoreRead(x) || ft.taintedExpr(x.X)
-	case *ast.SelectorExpr:
-		return ft.taintedExpr(x.X)
-	case *ast.StarExpr:
-		return ft.taintedExpr(x.X)
-	case *ast.ParenExpr:
-		return ft.taintedExpr(x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			// Taking an address re-enters pointer land: the operand's
-			// own value type (a bare Cell) no longer gates the taint.
-			return ft.taintedPath(x.X)
-		}
-		return ft.taintedExpr(x.X)
-	case *ast.SliceExpr:
-		return ft.taintedExpr(x.X)
-	case *ast.TypeAssertExpr:
-		return ft.taintedExpr(x.X)
-	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Clone" {
-			return false // the clone boundary launders the value
-		}
-		if recv, args := callOperands(x); ft.taintedExpr(recv) {
-			return true
-		} else {
-			for _, a := range args {
-				if ft.taintedExpr(a) {
-					return true
-				}
+		for _, a := range args {
+			if t.Tainted(a) {
+				return true
 			}
 		}
 		return false
 	}
-	return false
+	return t
 }
 
-// taintedPath reports whether the addressable path e is rooted in a
-// tainted or store-resident value, ignoring the value types the path
-// passes through (&d.Cells[0] is an interior pointer into the store
-// even though a bare Cell value could not mutate it).
-func (ft *funcTaint) taintedPath(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		v, ok := ft.pkg.Info.Uses[x].(*types.Var)
-		return ok && ft.tainted[v]
-	case *ast.SelectorExpr:
-		return ft.taintedPath(x.X)
-	case *ast.IndexExpr:
-		return ft.isStoreRead(x) || ft.taintedPath(x.X)
-	case *ast.StarExpr:
-		return ft.taintedPath(x.X)
-	case *ast.ParenExpr:
-		return ft.taintedPath(x.X)
-	case *ast.SliceExpr:
-		return ft.taintedPath(x.X)
-	}
-	return false
-}
-
-// isStoreRead recognizes the taint source: indexing a field-held or
-// package-level map whose elements reach resident state.
-func (ft *funcTaint) isStoreRead(idx *ast.IndexExpr) bool {
-	return ft.isStoreMap(idx.X)
+// isClone recognizes the clone boundary, which launders the value.
+func isClone(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Clone"
 }
 
 // isStoreMap recognizes the store itself: a field-held or
 // package-level map whose elements reach resident state.
-func (ft *funcTaint) isStoreMap(e ast.Expr) bool {
-	t := ft.pkg.Info.TypeOf(e)
+func (c *checker) isStoreMap(e ast.Expr) bool {
+	t := c.info.TypeOf(e)
 	if t == nil {
 		return false
 	}
 	mt, ok := t.Underlying().(*types.Map)
-	if !ok || !ft.vocab.Reaches(mt.Elem()) {
+	if !ok || !c.vocab.Reaches(mt.Elem()) {
 		return false
 	}
 	switch base := e.(type) {
 	case *ast.SelectorExpr:
-		v, ok := ft.pkg.Info.Uses[base.Sel].(*types.Var)
+		v, ok := c.info.Uses[base.Sel].(*types.Var)
 		return ok && v.IsField()
 	case *ast.Ident:
-		v, ok := ft.pkg.Info.Uses[base].(*types.Var)
-		return ok && isPkgLevel(v)
+		v, ok := c.info.Uses[base].(*types.Var)
+		return ok && framework.IsPkgLevel(v)
 	}
 	return false
 }
 
-func callOperands(call *ast.CallExpr) (recv ast.Expr, args []ast.Expr) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.X, call.Args
-	}
-	return nil, call.Args
-}
-
 // sinks walks the function once with the converged taint set and
 // reports every escape channel.
-func (ft *funcTaint) sinks(fd *ast.FuncDecl) {
+func (c *checker) sinks(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range s.Results {
-				if ft.taintedExpr(r) {
-					ft.report(r.Pos(), "returns an interior pointer of a store-resident design across the clone boundary; return a Clone() or justify with //mclegal:aliasleak <why>")
+				if c.taint.Tainted(r) {
+					c.report(r.Pos(), "returns an interior pointer of a store-resident design across the clone boundary; return a Clone() or justify with //mclegal:aliasleak <why>")
 				}
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range s.Lhs {
-				rhs := pairedRhs(s, i)
-				if rhs == nil || !ft.taintedExpr(rhs) {
+				rhs := s.Rhs[0]
+				if len(s.Rhs) > 1 {
+					rhs = s.Rhs[i]
+				}
+				if !c.taint.Tainted(rhs) {
 					continue
 				}
 				switch l := lhs.(type) {
 				case *ast.SelectorExpr:
-					if v, ok := ft.pkg.Info.Uses[l.Sel].(*types.Var); ok && v.IsField() {
-						ft.report(l.Pos(), "stores a resident design pointer into field %s, where it outlives the request; store a Clone() or justify with //mclegal:aliasleak <why>", v.Name())
+					if v, ok := c.info.Uses[l.Sel].(*types.Var); ok && v.IsField() {
+						c.report(l.Pos(), "stores a resident design pointer into field %s, where it outlives the request; store a Clone() or justify with //mclegal:aliasleak <why>", v.Name())
 					}
 				case *ast.Ident:
-					if v, ok := ft.pkg.Info.Uses[l].(*types.Var); ok && isPkgLevel(v) {
-						ft.report(l.Pos(), "stores a resident design pointer into package-level %s, where it outlives the request; store a Clone() or justify with //mclegal:aliasleak <why>", v.Name())
+					if v, ok := c.info.Uses[l].(*types.Var); ok && framework.IsPkgLevel(v) {
+						c.report(l.Pos(), "stores a resident design pointer into package-level %s, where it outlives the request; store a Clone() or justify with //mclegal:aliasleak <why>", v.Name())
 					}
 				}
 			}
 		case *ast.GoStmt:
-			ft.goSink(s)
+			c.goSink(s)
 			return false // goSink walks the spawned call itself
 		case *ast.CallExpr:
-			ft.callSink(s)
+			c.callSink(s)
 		}
 		return true
 	})
@@ -342,10 +196,10 @@ func (ft *funcTaint) sinks(fd *ast.FuncDecl) {
 // goSink reports tainted values crossing into a spawned goroutine:
 // tainted call arguments, and tainted locals captured by a function
 // literal body.
-func (ft *funcTaint) goSink(g *ast.GoStmt) {
+func (c *checker) goSink(g *ast.GoStmt) {
 	for _, a := range g.Call.Args {
-		if ft.taintedExpr(a) {
-			ft.report(a.Pos(), "passes a resident design pointer to a goroutine, which may outlive the request's read window; pass a Clone() or justify with //mclegal:aliasleak <why>")
+		if c.taint.Tainted(a) {
+			c.report(a.Pos(), "passes a resident design pointer to a goroutine, which may outlive the request's read window; pass a Clone() or justify with //mclegal:aliasleak <why>")
 		}
 	}
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
@@ -354,8 +208,8 @@ func (ft *funcTaint) goSink(g *ast.GoStmt) {
 			if !ok {
 				return true
 			}
-			if v, ok := ft.pkg.Info.Uses[id].(*types.Var); ok && ft.tainted[v] {
-				ft.report(id.Pos(), "goroutine captures resident design pointer %s, which may outlive the request's read window; capture a Clone() or justify with //mclegal:aliasleak <why>", id.Name)
+			if _, ok := c.info.Uses[id].(*types.Var); ok && c.taint.Tainted(id) {
+				c.report(id.Pos(), "goroutine captures resident design pointer %s, which may outlive the request's read window; capture a Clone() or justify with //mclegal:aliasleak <why>", id.Name)
 			}
 			return true
 		})
@@ -365,71 +219,68 @@ func (ft *funcTaint) goSink(g *ast.GoStmt) {
 // callSink screens calls that receive a tainted value: the callee must
 // be static, in-program or known-safe external, with a provable write
 // set that has no effect rooted at the tainted operand.
-func (ft *funcTaint) callSink(call *ast.CallExpr) {
-	if tv, ok := ft.pkg.Info.Types[call.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
-		// Conversions pass the value through (taintedExpr tracks that);
+func (c *checker) callSink(call *ast.CallExpr) {
+	if tv, ok := c.info.Types[call.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
+		// Conversions pass the value through (the taint tracks that);
 		// builtins read or write only what their spelled-out operands
 		// already show.
 		return
 	}
-	recv, args := callOperands(call)
-	recvTainted := ft.taintedExpr(recv)
+	recv, args := framework.SplitOperands(c.info, call)
+	recvTainted := c.taint.Tainted(recv)
 	var taintedIdx []int
 	for i, a := range args {
-		if ft.taintedExpr(a) {
+		if c.taint.Tainted(a) {
 			taintedIdx = append(taintedIdx, i)
 		}
 	}
-	if !recvTainted && len(taintedIdx) == 0 {
+	if (!recvTainted && len(taintedIdx) == 0) || isClone(call) {
 		return
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Clone" {
-		return
-	}
-	fn := ft.callee(call)
+	fn := c.callee(call)
 	if fn == nil {
 		if _, isLit := call.Fun.(*ast.FuncLit); isLit {
 			return // the literal's body is screened by this same walk
 		}
-		ft.report(call.Pos(), "passes a resident design through a dynamic call, which cannot be proven read-only; clone first or justify with //mclegal:aliasleak <why>")
+		c.report(call.Pos(), "passes a resident design through a dynamic call, which cannot be proven read-only; clone first or justify with //mclegal:aliasleak <why>")
 		return
 	}
-	node := ft.cg.Node(fn)
+	node := c.cg.Node(fn)
 	if node == nil || node.Decl == nil {
 		// External or body-less callee: only the known-safe externals
 		// may see resident state.
-		if muts, known := ft.vocab.External(fn); known {
+		if muts, known := c.vocab.External(fn); known {
 			for _, m := range muts {
 				for _, ti := range taintedIdx {
 					if m == ti {
-						ft.report(call.Args[ti].Pos(), "passes a resident design to %s, which mutates its argument; resident designs are immutable — clone first", fn.Name())
+						c.report(args[ti].Pos(), "passes a resident design to %s, which mutates its argument; resident designs are immutable — clone first", fn.Name())
 					}
 				}
 			}
 			return
 		}
-		ft.report(call.Pos(), "passes a resident design to %s, whose effects are unknown; clone first or justify with //mclegal:aliasleak <why>", calleeName(fn))
+		c.report(call.Pos(), "passes a resident design to %s, whose effects are unknown; clone first or justify with //mclegal:aliasleak <why>", calleeName(fn))
 		return
 	}
-	we := ft.effects[node]
+	we := c.effects[node]
 	if we == nil {
 		return
 	}
 	if len(we.Unknown) > 0 {
-		ft.report(call.Pos(), "passes a resident design to %s, whose write set is unprovable (%s); clone first or justify with //mclegal:aliasleak <why>", calleeName(fn), we.Unknown[0].What)
+		c.report(call.Pos(), "passes a resident design to %s, whose write set is unprovable (%s); clone first or justify with //mclegal:aliasleak <why>", calleeName(fn), we.Unknown[0].What)
 		return
 	}
 	for _, e := range we.Effects {
 		switch e.Root {
 		case framework.WriteRecv:
 			if recvTainted {
-				ft.report(call.Pos(), "passes a resident design to %s, which writes %s through its receiver; resident designs are immutable — clone first", calleeName(fn), e.Obj.Name())
+				c.report(call.Pos(), "passes a resident design to %s, which writes %s through its receiver; resident designs are immutable — clone first", calleeName(fn), e.Obj.Name())
 				return
 			}
 		case framework.WriteParam:
 			for _, ti := range taintedIdx {
 				if e.Param == ti {
-					ft.report(call.Args[ti].Pos(), "passes a resident design to %s, which writes %s through parameter %d; resident designs are immutable — clone first", calleeName(fn), e.Obj.Name(), ti)
+					c.report(args[ti].Pos(), "passes a resident design to %s, which writes %s through parameter %d; resident designs are immutable — clone first", calleeName(fn), e.Obj.Name(), ti)
 					return
 				}
 			}
@@ -441,13 +292,13 @@ func (ft *funcTaint) callSink(call *ast.CallExpr) {
 	}
 }
 
-func (ft *funcTaint) callee(call *ast.CallExpr) *types.Func {
+func (c *checker) callee(call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := ft.pkg.Info.Uses[fun].(*types.Func)
+		fn, _ := c.info.Uses[fun].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := ft.pkg.Info.Uses[fun.Sel].(*types.Func)
+		fn, _ := c.info.Uses[fun.Sel].(*types.Func)
 		return fn
 	}
 	return nil
@@ -458,24 +309,4 @@ func calleeName(fn *types.Func) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
-	if err != nil {
-		return err
-	}
-	for _, f := range st.findings {
-		if f.pkg != pass.Pkg {
-			continue
-		}
-		if pass.Suppressed("aliasleak", f.pos) {
-			continue
-		}
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
 }

@@ -72,6 +72,9 @@ type Edge struct {
 type CallGraph struct {
 	prog  *Program
 	nodes map[*types.Func]*Node
+	// sorted holds every node by full name, fixed once the graph is
+	// built.
+	sorted []*Node
 }
 
 // Node returns the graph node for fn (its Origin, for instantiated
@@ -85,16 +88,8 @@ func (g *CallGraph) Node(fn *types.Func) *Node {
 }
 
 // Nodes returns every node in a deterministic order (by full name).
-func (g *CallGraph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Func.FullName() < out[j].Func.FullName()
-	})
-	return out
-}
+// The slice is shared; callers must not modify it.
+func (g *CallGraph) Nodes() []*Node { return g.sorted }
 
 // External reports whether the node has no analyzable body in the
 // program.
@@ -149,13 +144,21 @@ func buildCallGraph(p *Program) (*CallGraph, error) {
 			}
 		}
 	}
+
+	g.sorted = make([]*Node, 0, len(g.nodes))
+	for _, n := range g.nodes {
+		g.sorted = append(g.sorted, n)
+	}
+	sort.Slice(g.sorted, func(i, j int) bool {
+		return g.sorted[i].Func.FullName() < g.sorted[j].Func.FullName()
+	})
 	return g, nil
 }
 
 // addEdges walks body (including nested function literals) and records
 // one edge per call expression out of caller.
 func (g *CallGraph) addEdges(pkg *Package, caller *Node, body *ast.BlockStmt) {
-	localLits := singleBoundFuncLits(pkg.Info, body)
+	single := singleBindings(pkg.Info, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -176,8 +179,10 @@ func (g *CallGraph) addEdges(pkg *Package, caller *Node, body *ast.BlockStmt) {
 				// A function value. Calls of a local bound exactly
 				// once to a literal in this function are covered by
 				// the enclosing summary; anything else is dynamic.
-				if v, ok := obj.(*types.Var); ok && localLits[v] {
-					return true
+				if v, ok := obj.(*types.Var); ok {
+					if _, isLit := single[v].(*ast.FuncLit); isLit {
+						return true
+					}
 				}
 				g.linkDynamic(caller, call)
 			}
@@ -400,59 +405,46 @@ func unwrapFun(e ast.Expr) ast.Expr {
 	}
 }
 
-// singleBoundFuncLits returns the local variables of body that are
-// bound to a function literal exactly once and never reassigned —
-// the "named local closure" idiom (e.g. the better() helper in
-// curve.MinOn) whose body is analyzed as part of the enclosing
-// function.
-func singleBoundFuncLits(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
-	bound := make(map[*types.Var]int)
-	litBound := make(map[*types.Var]int)
-	record := func(lhs ast.Expr, rhs ast.Expr) {
+// singleBindings maps each variable that body binds exactly once, by
+// `=`, `:=` or `var`, to the expression in its position on the right
+// (nil where there is none). Calls of a local bound once to a function
+// literal (the better() helper in curve.MinOn) or to a method value
+// resolve statically.
+func singleBindings(info *types.Info, body *ast.BlockStmt) map[*types.Var]ast.Expr {
+	count := make(map[*types.Var]int)
+	value := make(map[*types.Var]ast.Expr)
+	record := func(lhs ast.Expr, values []ast.Expr, i int) {
 		id, ok := lhs.(*ast.Ident)
 		if !ok {
 			return
 		}
-		v, ok := info.Defs[id].(*types.Var)
-		if !ok {
-			v, ok = info.Uses[id].(*types.Var)
-			if !ok {
-				return
-			}
+		v := LocalVar(info, id)
+		if v == nil {
+			return
 		}
-		bound[v]++
-		if rhs != nil {
-			if _, isLit := rhs.(*ast.FuncLit); isLit {
-				litBound[v]++
-			}
+		count[v]++
+		value[v] = nil
+		if i < len(values) {
+			value[v] = values[i]
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
-				var rhs ast.Expr
-				if i < len(st.Rhs) {
-					rhs = st.Rhs[i]
-				}
-				record(lhs, rhs)
+				record(lhs, st.Rhs, i)
 			}
 		case *ast.ValueSpec:
 			for i, name := range st.Names {
-				var rhs ast.Expr
-				if i < len(st.Values) {
-					rhs = st.Values[i]
-				}
-				record(name, rhs)
+				record(name, st.Values, i)
 			}
 		}
 		return true
 	})
-	out := make(map[*types.Var]bool)
-	for v, n := range litBound {
-		if n == 1 && bound[v] == 1 {
-			out[v] = true
+	for v, n := range count {
+		if n != 1 {
+			delete(value, v)
 		}
 	}
-	return out
+	return value
 }

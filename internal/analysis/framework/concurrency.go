@@ -326,7 +326,7 @@ func (w *concWalk) target(e ast.Expr, held GuardSet) {
 		if e.Name == "_" {
 			return
 		}
-		if v := localVar(w.info, e); v != nil {
+		if v := LocalVar(w.info, e); v != nil {
 			w.access(v, e.Pos(), true, held, w.isFreshBase(e))
 		}
 	case *ast.SelectorExpr:
@@ -658,13 +658,7 @@ func resolveVar(info *types.Info, e ast.Expr) *types.Var {
 			}
 			e = x.X
 		case *ast.Ident:
-			if v, ok := info.Uses[x].(*types.Var); ok {
-				return v
-			}
-			if v, ok := info.Defs[x].(*types.Var); ok {
-				return v
-			}
-			return nil
+			return LocalVar(info, x)
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[x]; ok {
 				v, _ := sel.Obj().(*types.Var)

@@ -34,9 +34,14 @@ type Analyzer struct {
 	// Doc is the help text: first line is a summary, the rest explains
 	// the invariant being enforced.
 	Doc string
-	// Run applies the analyzer to one package, reporting findings
-	// through the Pass.
+	// Run applies a per-package analyzer to one package, reporting
+	// findings through the Pass.
 	Run func(*Pass) error
+	// Program applies a program-wide analyzer in place of Run: the
+	// framework calls it once per program and caches the findings, and
+	// each package's pass reports those located in that package unless
+	// the analyzer's Directive suppresses them.
+	Program func(*Program) ([]Finding, error)
 
 	// Scope lists the package-path suffixes the analyzer's invariant
 	// applies to (nil means every package). It is metadata for
@@ -52,9 +57,9 @@ type Analyzer struct {
 }
 
 // A Pass is the interface between one analyzer and one package. Prog
-// gives cross-package analyzers access to the whole program (call
-// graph, summaries, sibling packages); per-package analyzers can
-// ignore it.
+// gives a per-package analyzer read access to the whole program (the
+// call graph, sibling packages); one whose findings come from a
+// whole-program computation sets Analyzer.Program instead.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -74,6 +79,16 @@ type Diagnostic struct {
 	Message  string
 }
 
+// A Finding is one diagnostic of a program-wide analyzer.
+type Finding struct {
+	Pos     token.Pos
+	Message string
+	// Binding marks a finding about a declaration itself (a directive
+	// missing its justification or naming an unknown location), which
+	// no suppression directive may hide.
+	Binding bool
+}
+
 type directive struct {
 	name   string
 	reason string
@@ -84,6 +99,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...),
 	})
+}
+
+// reportFindings reports the program-wide analyzer's findings that
+// lie in this pass's package.
+func (p *Pass) reportFindings() error {
+	byPkg, err := p.Prog.findings(p.Analyzer)
+	if err != nil {
+		return err
+	}
+	for _, f := range byPkg[p.Pkg] {
+		if f.Binding || !p.Suppressed(p.Analyzer.Directive, f.Pos) {
+			p.Reportf(f.Pos, "%s", f.Message)
+		}
+	}
+	return nil
 }
 
 var directiveRe = regexp.MustCompile(`^//mclegal:([a-z]+)(?:[ \t]+(.*))?$`)

@@ -85,8 +85,9 @@ func (p *Program) CallGraph() (*CallGraph, error) {
 }
 
 // CacheLoad memoizes an arbitrary program-scoped artifact under key,
-// so analyzers that run once per package can share whole-program state
-// (e.g. noalloc's reachability closure) instead of recomputing it.
+// so whole-program state (the write-effect summaries, noalloc's hot
+// closure, each program-wide analyzer's findings) is computed once per
+// program however many analyzers and passes read it.
 func (p *Program) CacheLoad(key string, build func() (any, error)) (any, error) {
 	if v, ok := p.cache[key]; ok {
 		return v, nil
@@ -122,6 +123,41 @@ func (p *Program) DirectiveAt(name string, pos token.Pos) (reason string, ok boo
 	return "", false
 }
 
+// findings runs a program-wide analyzer once and groups its findings
+// by the package whose files hold them.
+func (p *Program) findings(a *Analyzer) (map[*types.Package][]Finding, error) {
+	v, err := p.CacheLoad("findings:"+a.Name, func() (any, error) {
+		all, err := a.Program(p)
+		if err != nil {
+			return nil, err
+		}
+		byPkg := make(map[*types.Package][]Finding)
+		for _, f := range all {
+			if pkg := p.packageAt(f.Pos); pkg != nil {
+				byPkg[pkg.Types] = append(byPkg[pkg.Types], f)
+			}
+		}
+		return byPkg, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(map[*types.Package][]Finding), nil
+}
+
+// packageAt returns the program package whose files contain pos, or
+// nil.
+func (p *Program) packageAt(pos token.Pos) *Package {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			if f.FileStart <= pos && pos <= f.FileEnd {
+				return pkg
+			}
+		}
+	}
+	return nil
+}
+
 // Run applies every analyzer to every package of the program and
 // returns the combined diagnostics ordered by position (file, line,
 // column, analyzer) — the stable order the -json output mode relies
@@ -142,7 +178,11 @@ func (p *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 				directives: p.directives,
 				diags:      &diags,
 			}
-			if err := a.Run(pass); err != nil {
+			run := a.Run
+			if a.Program != nil {
+				run = (*Pass).reportFindings
+			}
+			if err := run(pass); err != nil {
 				return diags, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 			}
 		}

@@ -9,8 +9,9 @@
 // curve breakpoint storage grow during warm-up and are reused
 // thereafter. An allocation is *rooted* when it only grows persistent
 // storage the caller owns — storage reachable from a pointer receiver,
-// a pointer parameter, or a local derived from one (sc.chain[:0],
-// *dst, &sc.total). Rooted growth is amortized away by reuse and is
+// a pointer parameter, a (*sync.Pool).Get, or a local derived from one
+// (sc.chain[:0], *dst, &sc.total), as the shared Taint engine (taint.go)
+// works it out. Rooted growth is amortized away by reuse and is
 // exactly what testing.AllocsPerRun observes as zero after warm-up;
 // unrooted allocation happens on every call and is what noalloc
 // reports.
@@ -113,16 +114,20 @@ func summarize(n *Node) *Summary {
 		return s
 	}
 	info := n.Pkg.Info
-	rooted := rootedVars(info, n.Decl)
-	isRooted := func(e ast.Expr) bool { return rootedExpr(info, rooted, e) }
+	isRooted := rootedness(n).Tainted
 
 	// Context classification for make/new and function literals:
 	// decided by where the expression appears, so collect accepted
-	// positions in a pre-pass.
+	// positions in a pre-pass. A local bound once to a literal is
+	// accepted while it is only ever called; used as a value anywhere,
+	// the literal escapes after all.
 	handledAlloc := make(map[ast.Expr]bool) // make/new assigned to rooted storage
 	acceptedLit := make(map[*ast.FuncLit]bool)
-	litOf := make(map[*types.Var]*ast.FuncLit)
-	singleBound := singleBoundFuncLits(info, n.Decl.Body)
+	for v, rhs := range singleBindings(info, n.Decl.Body) {
+		if lit, ok := rhs.(*ast.FuncLit); ok && !escapesAsValue(info, n.Decl.Body, v) {
+			acceptedLit[lit] = true
+		}
+	}
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.AssignStmt:
@@ -131,25 +136,6 @@ func summarize(n *Node) *Summary {
 					if isBuiltinCall(info, rhs, "make") || isBuiltinCall(info, rhs, "new") {
 						if isRooted(nd.Lhs[i]) {
 							handledAlloc[rhs] = true
-						}
-					}
-					if lit, ok := rhs.(*ast.FuncLit); ok {
-						if id, ok := nd.Lhs[i].(*ast.Ident); ok {
-							if v := localVar(info, id); v != nil && singleBound[v] {
-								acceptedLit[lit] = true
-								litOf[v] = lit
-							}
-						}
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i := range nd.Names {
-				if i < len(nd.Values) {
-					if lit, ok := nd.Values[i].(*ast.FuncLit); ok {
-						if v := localVar(info, nd.Names[i]); v != nil && singleBound[v] {
-							acceptedLit[lit] = true
-							litOf[v] = lit
 						}
 					}
 				}
@@ -171,13 +157,6 @@ func summarize(n *Node) *Summary {
 		}
 		return true
 	})
-	// A call-only local closure is accepted, but if the variable is
-	// ever used outside call position the literal escapes after all.
-	for v, lit := range litOf {
-		if escapesAsValue(info, n.Decl.Body, v) {
-			delete(acceptedLit, lit)
-		}
-	}
 
 	add := func(kind AllocKind, pos token.Pos, isrooted bool) {
 		s.Allocs = append(s.Allocs, AllocSite{Kind: kind, Pos: pos, Rooted: isrooted})
@@ -278,117 +257,36 @@ func allocFreeBoxed(t types.Type) bool {
 	return false
 }
 
-// rootedVars runs a small fixed point over decl's body: a local
-// variable is rooted when it is (derived from) persistent storage —
-// the pointer receiver, a pointer parameter, or a rooted expression.
-func rootedVars(info *types.Info, decl *ast.FuncDecl) map[*types.Var]bool {
-	rooted := make(map[*types.Var]bool)
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
+// rootedness solves which locals of n's body are rooted: derived from
+// the pointer receiver, a pointer parameter, or a (*sync.Pool).Get,
+// which hands out pooled persistent storage — the scratch idiom
+// rootedness exists to accept.
+func rootedness(n *Node) *Taint {
+	info := n.Pkg.Info
+	t := &Taint{Info: info, Source: func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
 		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
-						rooted[v] = true
-					}
-				}
-			}
+		sel, ok := unwrapFun(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return false
 		}
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
+		return ok && fn.FullName() == "(*sync.Pool).Get"
+	}}
+	sig := n.Func.Type().(*types.Signature)
+	seeds := []*types.Var{sig.Recv()}
+	for i := 0; i < sig.Params().Len(); i++ {
+		seeds = append(seeds, sig.Params().At(i))
 	}
-	addFields(decl.Recv)
-	if decl.Type.Params != nil {
-		addFields(decl.Type.Params)
-	}
-	if decl.Body == nil {
-		return rooted
-	}
-	for {
-		changed := false
-		ast.Inspect(decl.Body, func(nd ast.Node) bool {
-			switch nd := nd.(type) {
-			case *ast.AssignStmt:
-				if len(nd.Lhs) != len(nd.Rhs) {
-					return true
-				}
-				for i, lhs := range nd.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					v := localVar(info, id)
-					if v == nil || rooted[v] {
-						continue
-					}
-					if rootedExpr(info, rooted, nd.Rhs[i]) {
-						rooted[v] = true
-						changed = true
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range nd.Names {
-					if i >= len(nd.Values) {
-						continue
-					}
-					v := localVar(info, name)
-					if v == nil || rooted[v] {
-						continue
-					}
-					if rootedExpr(info, rooted, nd.Values[i]) {
-						rooted[v] = true
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-		if !changed {
-			return rooted
+	for _, v := range seeds {
+		if v != nil && isPointerType(v.Type()) {
+			t.Seed(v)
 		}
 	}
-}
-
-// rootedExpr reports whether e denotes (a view of) persistent
-// caller-owned storage.
-func rootedExpr(info *types.Info, rooted map[*types.Var]bool, e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		v := localVar(info, e)
-		return v != nil && rooted[v]
-	case *ast.SelectorExpr:
-		// A field chain is rooted by its base object.
-		return rootedExpr(info, rooted, e.X)
-	case *ast.StarExpr:
-		return rootedExpr(info, rooted, e.X)
-	case *ast.UnaryExpr:
-		return e.Op == token.AND && rootedExpr(info, rooted, e.X)
-	case *ast.SliceExpr:
-		return rootedExpr(info, rooted, e.X)
-	case *ast.IndexExpr:
-		return rootedExpr(info, rooted, e.X)
-	case *ast.ParenExpr:
-		return rootedExpr(info, rooted, e.X)
-	case *ast.TypeAssertExpr:
-		// pool.Get().(*scratch): the assertion is a view of whatever
-		// Get returned.
-		return rootedExpr(info, rooted, e.X)
-	case *ast.CallExpr:
-		// append(rooted, ...) yields rooted storage (grown in place or
-		// re-anchored under the same owner).
-		if isBuiltinCall(info, e, "append") && len(e.Args) > 0 {
-			return rootedExpr(info, rooted, e.Args[0])
-		}
-		// (*sync.Pool).Get hands out pooled persistent storage — the
-		// scratch idiom rootedness exists to accept.
-		if sel, ok := unwrapFun(e.Fun).(*ast.SelectorExpr); ok {
-			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok &&
-				fn.FullName() == "(*sync.Pool).Get" {
-				return true
-			}
-		}
-	}
-	return false
+	t.Solve(n.Decl.Body)
+	return t
 }
 
 // escapesAsValue reports whether v is used anywhere other than as the
@@ -440,8 +338,8 @@ func capturesVariables(info *types.Info, encl *ast.FuncDecl, lit *ast.FuncLit) b
 	return captures
 }
 
-// localVar resolves an identifier to the variable it defines or uses.
-func localVar(info *types.Info, id *ast.Ident) *types.Var {
+// LocalVar resolves an identifier to the variable it defines or uses.
+func LocalVar(info *types.Info, id *ast.Ident) *types.Var {
 	if v, ok := info.Defs[id].(*types.Var); ok {
 		return v
 	}
@@ -449,6 +347,11 @@ func localVar(info *types.Info, id *ast.Ident) *types.Var {
 		return v
 	}
 	return nil
+}
+
+// IsPkgLevel reports whether v is a package-level variable.
+func IsPkgLevel(v *types.Var) bool {
+	return v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // typeOf is Info.TypeOf with a non-nil guarantee (types.Typ[Invalid]

@@ -405,8 +405,8 @@ func (c *writeCtx) recordBinding(lhs, rhs ast.Expr, changed *bool) {
 		if id.Name == "_" {
 			return
 		}
-		v := localVar(c.info, id)
-		if v == nil || v == c.recv || isPkgLevel(v) {
+		v := LocalVar(c.info, id)
+		if v == nil || v == c.recv || IsPkgLevel(v) {
 			return
 		}
 		if _, isParam := c.paramIdx[v]; isParam {
@@ -435,7 +435,7 @@ func (c *writeCtx) recordBinding(lhs, rhs ast.Expr, changed *bool) {
 		if !ok {
 			return
 		}
-		v := localVar(c.info, baseID)
+		v := LocalVar(c.info, baseID)
 		if v == nil {
 			return
 		}
@@ -538,7 +538,7 @@ func (c *writeCtx) recordRange(st *ast.RangeStmt, changed *bool) {
 		if !ok || id.Name == "_" {
 			return
 		}
-		v := localVar(c.info, id)
+		v := LocalVar(c.info, id)
 		if v == nil {
 			return
 		}
@@ -667,7 +667,7 @@ func (c *writeCtx) classifyIdent(id *ast.Ident) exprClass {
 	case *types.Nil, *types.Const:
 		return freshClass
 	}
-	v := localVar(c.info, id)
+	v := LocalVar(c.info, id)
 	if v == nil {
 		return sharedClass
 	}
@@ -677,7 +677,7 @@ func (c *writeCtx) classifyIdent(id *ast.Ident) exprClass {
 	if i, ok := c.paramIdx[v]; ok {
 		return c.paramCls[i]
 	}
-	if isPkgLevel(v) {
+	if IsPkgLevel(v) {
 		return sharedClass
 	}
 	if cl, ok := c.locals[v]; ok {
@@ -693,7 +693,7 @@ func (c *writeCtx) fieldFresh(base ast.Expr, f *types.Var) bool {
 	if !ok {
 		return false
 	}
-	v := localVar(c.info, id)
+	v := LocalVar(c.info, id)
 	if v == nil {
 		return false
 	}
@@ -706,10 +706,6 @@ func (c *writeCtx) fieldFresh(base ast.Expr, f *types.Var) bool {
 		return true // unmentioned composite field: zero value, fresh
 	}
 	return fresh
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // ---- local facts ----
@@ -750,8 +746,8 @@ func (c *writeCtx) recordStore(st *weState, lhs ast.Expr) {
 		if id.Name == "_" {
 			return
 		}
-		v := localVar(c.info, id)
-		if v != nil && isPkgLevel(v) && c.voc.Tracked(v) {
+		v := LocalVar(c.info, id)
+		if v != nil && IsPkgLevel(v) && c.voc.Tracked(v) {
 			st.add(WriteEffect{Obj: v, Pos: lhs.Pos(), Owner: c.node.Func, Root: WriteShared, Crossed: true})
 		}
 		return
@@ -849,11 +845,11 @@ func (c *writeCtx) pathObjs(e ast.Expr) []*types.Var {
 		case *ast.StarExpr:
 			e = t.X
 		case *ast.Ident:
-			v := localVar(c.info, t)
+			v := LocalVar(c.info, t)
 			if v == nil {
 				return nil
 			}
-			if isPkgLevel(v) && c.voc.Tracked(v) {
+			if IsPkgLevel(v) && c.voc.Tracked(v) {
 				return []*types.Var{v}
 			}
 			if srcs := c.localSrc[v]; len(srcs) > 0 {
@@ -1005,34 +1001,21 @@ func (c *writeCtx) resolveDynamic(site *ast.CallExpr) *boundMethod {
 
 // boundMethodVals finds locals bound exactly once to a concrete method
 // value (h.Reload), a declared function (helper), or a parameterless
-// function literal, and never reassigned: calls of such locals resolve
-// statically, with the receiver classified at the bind site.
+// function literal: calls of such locals resolve statically, with the
+// receiver classified at the bind site.
 func boundMethodVals(info *types.Info, body *ast.BlockStmt) map[*types.Var]*boundMethod {
-	bindings := make(map[*types.Var]int)
-	cand := make(map[*types.Var]*boundMethod)
-	record := func(lhs, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		v := localVar(info, id)
-		if v == nil {
-			return
-		}
-		bindings[v]++
-		if rhs == nil {
-			return
-		}
+	out := make(map[*types.Var]*boundMethod)
+	for v, rhs := range singleBindings(info, body) {
 		switch rhs := rhs.(type) {
 		case *ast.SelectorExpr:
 			if s, ok := info.Selections[rhs]; ok && s.Kind() == types.MethodVal {
 				if fn, ok := s.Obj().(*types.Func); ok && !types.IsInterface(s.Recv()) {
-					cand[v] = &boundMethod{fn: fn, recv: rhs.X}
+					out[v] = &boundMethod{fn: fn, recv: rhs.X}
 				}
 			}
 		case *ast.Ident:
 			if fn, ok := info.Uses[rhs].(*types.Func); ok {
-				cand[v] = &boundMethod{fn: fn}
+				out[v] = &boundMethod{fn: fn}
 			}
 		case *ast.FuncLit:
 			// A parameterless literal mutates only through captures,
@@ -1040,35 +1023,8 @@ func boundMethodVals(info *types.Info, body *ast.BlockStmt) map[*types.Var]*boun
 			// function; with parameters the call site would smuggle
 			// arguments past that attribution, so those stay dynamic.
 			if rhs.Type.Params == nil || len(rhs.Type.Params.List) == 0 {
-				cand[v] = &boundMethod{lit: true}
+				out[v] = &boundMethod{lit: true}
 			}
-		}
-	}
-	ast.Inspect(body, func(nd ast.Node) bool {
-		switch st := nd.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range st.Lhs {
-				var rhs ast.Expr
-				if i < len(st.Rhs) {
-					rhs = st.Rhs[i]
-				}
-				record(lhs, rhs)
-			}
-		case *ast.ValueSpec:
-			for i, name := range st.Names {
-				var rhs ast.Expr
-				if i < len(st.Values) {
-					rhs = st.Values[i]
-				}
-				record(name, rhs)
-			}
-		}
-		return true
-	})
-	out := make(map[*types.Var]*boundMethod)
-	for v, bm := range cand {
-		if bindings[v] == 1 {
-			out[v] = bm
 		}
 	}
 	return out
@@ -1101,7 +1057,7 @@ func foldNode(g *CallGraph, n *Node, c *writeCtx, local *weState, res map[*Node]
 			recvExpr, args = bm.recv, e.Site.Args
 		case e.Callee != nil && !e.Callee.External():
 			callee = e.Callee
-			recvExpr, args = splitOperands(c.info, e.Site)
+			recvExpr, args = SplitOperands(c.info, e.Site)
 		default:
 			continue
 		}
@@ -1129,9 +1085,9 @@ func foldNode(g *CallGraph, n *Node, c *writeCtx, local *weState, res map[*Node]
 	return st
 }
 
-// splitOperands maps a call site onto (receiver expression, argument
+// SplitOperands maps a call site onto (receiver expression, argument
 // expressions), normalizing method expressions (T.M(recv, args...)).
-func splitOperands(info *types.Info, site *ast.CallExpr) (recv ast.Expr, args []ast.Expr) {
+func SplitOperands(info *types.Info, site *ast.CallExpr) (recv ast.Expr, args []ast.Expr) {
 	fun := unwrapFun(site.Fun)
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		if s, ok := info.Selections[sel]; ok {

@@ -45,7 +45,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name:      "goleak",
 	Doc:       "prove every spawned goroutine terminates and is joined (suppress daemons with //mclegal:daemon)",
-	Run:       run,
+	Program:   findings,
 	Scope:     scope.ConcurrencyScope,
 	Directive: "daemon",
 	Example:   "//mclegal:daemon process-lifetime signal listener; the kernel reaps it at exit",
@@ -276,29 +276,21 @@ func dedup(in []string) []string {
 	return out
 }
 
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
+// findings reports every unproven spawn, and every daemon spawn so its
+// //mclegal:daemon directive is held to its justification.
+func findings(prog *framework.Program) ([]framework.Finding, error) {
+	st, err := state(prog)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var out []framework.Finding
 	for _, sp := range st.spawns {
-		if sp.owner.Pkg == nil || sp.owner.Pkg.Types != pass.Pkg {
-			continue
-		}
 		if len(sp.problems) == 0 && !sp.daemon {
 			continue
 		}
-		// Suppressed also reports a bare //mclegal:daemon directive as
-		// missing its justification, covering the daemon inventory.
-		if pass.Suppressed("daemon", sp.site.Pos) {
-			continue
-		}
-		pass.Reportf(sp.site.Pos,
+		out = append(out, framework.Finding{Pos: sp.site.Pos, Message: fmt.Sprintf(
 			"goroutine is not provably joined: %s; restructure to a joined shape or justify with //mclegal:daemon <why>",
-			strings.Join(sp.problems, "; "))
+			strings.Join(sp.problems, "; "))})
 	}
-	return nil
+	return out, nil
 }

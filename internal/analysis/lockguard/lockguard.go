@@ -46,41 +46,25 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name:      "lockguard",
 	Doc:       "infer each field's guarding mutex and enforce it everywhere; forbid blocking ops under a lock (suppress with //mclegal:lockguard)",
-	Run:       run,
+	Program:   findings,
 	Scope:     scope.ConcurrencyScope,
 	Directive: "lockguard",
 	Example:   "//mclegal:lockguard read is of an atomic counter; the mutex guards only the map",
 }
 
-// A finding is one pre-computed diagnostic, attributed to the package
-// whose pass should report it.
-type finding struct {
-	pkg *types.Package
-	pos token.Pos
-	msg string
-}
-
+// guardState accumulates the findings of one program run.
 type guardState struct {
-	findings []finding
+	findings []framework.Finding
 }
 
 // accessRec is one field access with its effective guard set (own
 // pairing ∪ caller-inherited).
 type accessRec struct {
-	node *framework.Node
-	acc  framework.FieldAccess
-	eff  framework.GuardSet
+	acc framework.FieldAccess
+	eff framework.GuardSet
 }
 
-func state(prog *framework.Program) (*guardState, error) {
-	v, err := prog.CacheLoad("lockguard", func() (any, error) { return computeState(prog) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*guardState), nil
-}
-
-func computeState(prog *framework.Program) (*guardState, error) {
+func findings(prog *framework.Program) ([]framework.Finding, error) {
 	cg, err := prog.CallGraph()
 	if err != nil {
 		return nil, err
@@ -91,7 +75,7 @@ func computeState(prog *framework.Program) (*guardState, error) {
 	byField := make(map[*types.Var][]accessRec)
 	var fields []*types.Var
 
-	addAccess := func(n *framework.Node, a framework.FieldAccess, inheritedHeld framework.GuardSet) {
+	addAccess := func(a framework.FieldAccess, inheritedHeld framework.GuardSet) {
 		if !a.Obj.IsField() || a.Fresh {
 			return
 		}
@@ -104,7 +88,7 @@ func computeState(prog *framework.Program) (*guardState, error) {
 		if len(byField[a.Obj]) == 0 {
 			fields = append(fields, a.Obj)
 		}
-		byField[a.Obj] = append(byField[a.Obj], accessRec{node: n, acc: a, eff: eff})
+		byField[a.Obj] = append(byField[a.Obj], accessRec{acc: a, eff: eff})
 	}
 
 	for _, n := range cg.Nodes() {
@@ -113,7 +97,7 @@ func computeState(prog *framework.Program) (*guardState, error) {
 		}
 		c := n.Conc()
 		for _, a := range c.Accesses {
-			addAccess(n, a, inherited[n])
+			addAccess(a, inherited[n])
 		}
 		// Spawned bodies: their accesses carry their own pairing and
 		// inherit nothing (a goroutine does not hold its spawner's
@@ -123,7 +107,7 @@ func computeState(prog *framework.Program) (*guardState, error) {
 				continue
 			}
 			for _, a := range sp.Body.Accesses {
-				addAccess(n, a, nil)
+				addAccess(a, nil)
 			}
 		}
 		st.checkBlocking(cg, mayBlock, n)
@@ -134,7 +118,7 @@ func computeState(prog *framework.Program) (*guardState, error) {
 	for _, f := range fields {
 		st.checkField(f, byField[f])
 	}
-	return st, nil
+	return st.findings, nil
 }
 
 // checkField infers the field's guard from majority usage and reports
@@ -180,12 +164,12 @@ func (st *guardState) checkField(f *types.Var, recs []accessRec) {
 			kind = "write"
 		}
 		if readOnly {
-			st.report(r.node, r.acc.Pos,
+			st.report(r.acc.Pos,
 				"write to %s holds only the read lock of %s, its inferred guard (%d/%d accesses hold it); take the write lock or justify with //mclegal:lockguard <why>",
 				f.Name(), guard.Name(), best, len(recs))
 			continue
 		}
-		st.report(r.node, r.acc.Pos,
+		st.report(r.acc.Pos,
 			"%s of %s without %s, its inferred guard (%d/%d accesses hold it); hold the mutex or justify with //mclegal:lockguard <why>",
 			kind, f.Name(), guard.Name(), best, len(recs))
 	}
@@ -211,12 +195,12 @@ func (st *guardState) checkBlocking(cg *framework.CallGraph, mayBlock map[*frame
 		for _, b := range c.Blocks {
 			if b.Kind == framework.BlockLock {
 				if b.Mutex != nil && b.Held.Holds(b.Mutex, framework.GuardRead) {
-					st.report(n, b.Pos, "acquires %s while already holding it: self-deadlock", b.Mutex.Name())
+					st.report(b.Pos, "acquires %s while already holding it: self-deadlock", b.Mutex.Name())
 				}
 				continue
 			}
 			if m := anyHeld(b.Held); m != nil {
-				st.report(n, b.Pos, "%s while holding %s; blocking under a lock stalls every contender, release it first or justify with //mclegal:lockguard <why>",
+				st.report(b.Pos, "%s while holding %s; blocking under a lock stalls every contender, release it first or justify with //mclegal:lockguard <why>",
 					b.Kind, m.Name())
 			}
 		}
@@ -230,7 +214,7 @@ func (st *guardState) checkBlocking(cg *framework.CallGraph, mayBlock map[*frame
 			if w == nil {
 				continue
 			}
-			st.report(n, call.Pos, "call to %s may block (%s in %s) while holding %s; release the lock first or justify with //mclegal:lockguard <why>",
+			st.report(call.Pos, "call to %s may block (%s in %s) while holding %s; release the lock first or justify with //mclegal:lockguard <why>",
 				call.Callee.Name(), w.Kind, w.Owner.Func.Name(), m.Name())
 		}
 	}
@@ -255,30 +239,6 @@ func anyHeld(g framework.GuardSet) *types.Var {
 	return out
 }
 
-func (st *guardState) report(n *framework.Node, pos token.Pos, format string, args ...any) {
-	var pkg *types.Package
-	if n.Pkg != nil {
-		pkg = n.Pkg.Types
-	}
-	st.findings = append(st.findings, finding{pkg: pkg, pos: pos, msg: fmt.Sprintf(format, args...)})
-}
-
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
-	if err != nil {
-		return err
-	}
-	for _, f := range st.findings {
-		if f.pkg != pass.Pkg {
-			continue
-		}
-		if pass.Suppressed("lockguard", f.pos) {
-			continue
-		}
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
+func (st *guardState) report(pos token.Pos, format string, args ...any) {
+	st.findings = append(st.findings, framework.Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }

@@ -34,8 +34,8 @@ package noalloc
 
 import (
 	"fmt"
+	"go/token"
 	"go/types"
-	"sort"
 
 	"mclegal/internal/analysis/framework"
 	"mclegal/internal/analysis/scope"
@@ -45,7 +45,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name:      "noalloc",
 	Doc:       "prove the //mclegal:hotpath call tree allocation-free (suppress sites with //mclegal:alloc)",
-	Run:       run,
+	Program:   findings,
 	Scope:     scope.HotPathClosure,
 	Directive: "alloc",
 	Example:   "//mclegal:alloc one-time warm-up growth; steady state reuses the buffer (see the 0 allocs/op benchmark)",
@@ -74,11 +74,13 @@ var allowedExternals = map[string]bool{
 	"(*sync.Mutex).Unlock": true,
 }
 
-// hotState is the program-wide result, computed once and shared by the
-// per-package passes through Program.CacheLoad.
+// hotState is the hot-path closure, computed once per program and
+// shared by the findings and Roots.
 type hotState struct {
-	// roots maps each root function to its directive justification.
-	roots map[*framework.Node]string
+	// roots are the root functions in name order; reasons holds each
+	// one's directive justification.
+	roots   []*framework.Node
+	reasons map[*framework.Node]string
 	// via maps every hot-reachable node to the root it was first
 	// reached from (deterministic: roots processed in name order).
 	via map[*framework.Node]*framework.Node
@@ -92,24 +94,7 @@ func Roots(prog *framework.Program) ([]*framework.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*framework.Node, 0, len(st.roots))
-	for n := range st.roots {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Func.FullName() < out[j].Func.FullName()
-	})
-	return out, nil
-}
-
-// Reachable reports whether the node is in the hot-path closure.
-func Reachable(prog *framework.Program, n *framework.Node) (bool, error) {
-	st, err := state(prog)
-	if err != nil {
-		return false, err
-	}
-	_, ok := st.via[n]
-	return ok, nil
+	return st.roots, nil
 }
 
 func state(prog *framework.Program) (*hotState, error) {
@@ -126,29 +111,23 @@ func computeState(prog *framework.Program) (*hotState, error) {
 		return nil, err
 	}
 	st := &hotState{
-		roots: make(map[*framework.Node]string),
-		via:   make(map[*framework.Node]*framework.Node),
+		reasons: make(map[*framework.Node]string),
+		via:     make(map[*framework.Node]*framework.Node),
 	}
 	for _, n := range cg.Nodes() {
 		if n.Decl == nil {
 			continue
 		}
 		if reason, ok := framework.DocDirective(n.Decl.Doc, "hotpath"); ok {
-			st.roots[n] = reason
+			st.roots = append(st.roots, n)
+			st.reasons[n] = reason
 		}
 	}
-	// BFS from each root (name order, so `via` attribution is
-	// deterministic). External and interface-method nodes terminate
+	// BFS from each root in name order, so `via` attribution is
+	// deterministic. External and interface-method nodes terminate
 	// the walk: they have no bodies; their edges are judged at the
 	// call site.
-	var order []*framework.Node
-	for n := range st.roots {
-		order = append(order, n)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return order[i].Func.FullName() < order[j].Func.FullName()
-	})
-	for _, root := range order {
+	for _, root := range st.roots {
 		if _, seen := st.via[root]; seen {
 			continue
 		}
@@ -173,78 +152,62 @@ func computeState(prog *framework.Program) (*hotState, error) {
 	return st, nil
 }
 
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
+func findings(prog *framework.Program) ([]framework.Finding, error) {
+	st, err := state(prog)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(st.roots) == 0 {
-		return nil
-	}
-	cg, err := pass.Prog.CallGraph()
+	cg, err := prog.CallGraph()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Check root directives (justification mandatory) for roots
-	// declared in this package.
-	for n, reason := range st.roots {
-		if n.Pkg != nil && n.Pkg.Types == pass.Pkg && reason == "" {
-			pass.Reportf(n.Decl.Pos(),
-				"//mclegal:hotpath directive is missing a justification")
+	var out []framework.Finding
+	report := func(pos token.Pos, format string, args ...any) {
+		out = append(out, framework.Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
+	for _, n := range st.roots {
+		if st.reasons[n] == "" {
+			out = append(out, framework.Finding{Pos: n.Decl.Pos(), Binding: true,
+				Message: "//mclegal:hotpath directive is missing a justification"})
 		}
 	}
-	// Walk the hot closure; report findings located in this package
-	// only, so a program-wide run emits each finding exactly once.
 	for _, n := range cg.Nodes() {
 		root, hot := st.via[n]
-		if !hot || n.Pkg == nil || n.Pkg.Types != pass.Pkg {
+		if !hot {
 			continue
 		}
 		ctx := fmt.Sprintf("hot path via %s", root.Func.FullName())
 		for _, site := range n.Summary().Allocs {
-			if site.Rooted {
-				continue
+			if !site.Rooted {
+				report(site.Pos, "%s: %s allocates on every call; pool it, root it in caller-owned storage, or justify with //mclegal:alloc <why>",
+					ctx, site.Kind)
 			}
-			if pass.Suppressed("alloc", site.Pos) {
-				continue
-			}
-			pass.Reportf(site.Pos, "%s: %s allocates on every call; pool it, root it in caller-owned storage, or justify with //mclegal:alloc <why>",
-				ctx, site.Kind)
 		}
 		seenIfaceSite := make(map[*framework.Edge]bool)
 		for _, e := range n.Out {
 			switch e.Kind {
 			case framework.EdgeDynamic:
-				if !pass.Suppressed("alloc", e.Site.Pos()) {
-					pass.Reportf(e.Site.Pos(), "%s: indirect call of a function value cannot be proven allocation-free; justify with //mclegal:alloc <why>", ctx)
-				}
+				report(e.Site.Pos(), "%s: indirect call of a function value cannot be proven allocation-free; justify with //mclegal:alloc <why>", ctx)
 			case framework.EdgeInterface:
 				// Edges come in groups per site: the interface method
 				// itself plus one edge per implementation. Judge each
 				// site once.
 				if e.Callee != nil && e.Callee.Decl == nil && isInterfaceMethod(e.Callee.Func) {
 					if !seenIfaceSite[e] && implCount(n, e) == 0 {
-						if !pass.Suppressed("alloc", e.Site.Pos()) {
-							pass.Reportf(e.Site.Pos(), "%s: interface call %s has no in-program implementation to prove; justify with //mclegal:alloc <why>",
-								ctx, e.Callee.Func.Name())
-						}
+						report(e.Site.Pos(), "%s: interface call %s has no in-program implementation to prove; justify with //mclegal:alloc <why>",
+							ctx, e.Callee.Func.Name())
 					}
 					seenIfaceSite[e] = true
 				}
 			case framework.EdgeStatic:
 				if e.Callee.Decl == nil && !allowedExternals[e.Callee.Func.Origin().FullName()] {
-					if !pass.Suppressed("alloc", e.Site.Pos()) {
-						pass.Reportf(e.Site.Pos(), "%s: call into unsummarized external %s (no body to prove); extend the noalloc allow list or justify with //mclegal:alloc <why>",
-							ctx, e.Callee.Func.FullName())
-					}
+					report(e.Site.Pos(), "%s: call into unsummarized external %s (no body to prove); extend the noalloc allow list or justify with //mclegal:alloc <why>",
+						ctx, e.Callee.Func.FullName())
 				}
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // implCount counts concrete-implementation edges sharing the call site

@@ -97,58 +97,50 @@ type checker struct {
 	pass    *framework.Pass
 	scratch map[types.Object]bool
 	fn      *ast.FuncDecl
-	taint   map[types.Object]bool
+	taint   *framework.Taint
 	funcLit [][2]token.Pos
 }
 
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, scratchTypes map[types.Object]bool) {
-	c := &checker{pass: pass, scratch: scratchTypes, fn: fd, taint: make(map[types.Object]bool)}
+	c := &checker{pass: pass, scratch: scratchTypes, fn: fd}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok {
 			c.funcLit = append(c.funcLit, [2]token.Pos{fl.Body.Pos(), fl.Body.End()})
 		}
 		return true
 	})
-	c.propagate()
+	// Values derived from a scratch slice field alias the pooled
+	// buffer, as long as their type can hold a reference at all.
+	c.taint = &framework.Taint{
+		Info: pass.TypesInfo,
+		Source: func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			return ok && c.isScratchSliceField(sel)
+		},
+		Carries: holdsReference,
+	}
+	c.taint.Solve(fd.Body)
 	c.report()
 }
 
-// propagate computes the tainted local variables to a fixed point:
-// anything assigned (directly or through slicing) from a scratch slice
-// field or an already-tainted variable.
-func (c *checker) propagate() {
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(c.fn.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					return true
-				}
-				for i, rhs := range n.Rhs {
-					if !c.tainted(rhs) {
-						continue
-					}
-					if id, ok := unparen(n.Lhs[i]).(*ast.Ident); ok {
-						if obj := c.identObj(id); obj != nil && !c.taint[obj] {
-							c.taint[obj] = true
-							changed = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if i < len(n.Values) && c.tainted(n.Values[i]) {
-						if obj := c.pass.TypesInfo.Defs[name]; obj != nil && !c.taint[obj] {
-							c.taint[obj] = true
-							changed = true
-						}
-					}
-				}
+// holdsReference reports whether a value of type t can share memory
+// with a scratch buffer. A copied element of plain values (a move, an
+// int) cannot.
+func holdsReference(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return false
+	case *types.Array:
+		return holdsReference(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsReference(u.Field(i).Type()) {
+				return true
 			}
-			return true
-		})
+		}
+		return false
 	}
+	return true
 }
 
 // report walks the function flagging every escape of a tainted value.
@@ -161,14 +153,14 @@ func (c *checker) report() {
 				return true
 			}
 			for i, rhs := range n.Rhs {
-				if c.tainted(rhs) && c.escapingLHS(n.Lhs[i]) && !pass.Suppressed("escape", n.Pos()) {
+				if c.taint.Tainted(rhs) && c.escapingLHS(n.Lhs[i]) && !pass.Suppressed("escape", n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"scratch buffer %s is aliased past the evaluation boundary by this store; copy it with append(dst[:0], src...) (three-stage ownership rule, internal/mgl/scratch.go)",
 						types.ExprString(rhs))
 				}
 			}
 		case *ast.SendStmt:
-			if c.tainted(n.Value) && !pass.Suppressed("escape", n.Pos()) {
+			if c.taint.Tainted(n.Value) && !pass.Suppressed("escape", n.Pos()) {
 				pass.Reportf(n.Pos(),
 					"scratch buffer %s sent on a channel escapes the evaluation boundary; send a copy instead",
 					types.ExprString(n.Value))
@@ -178,14 +170,14 @@ func (c *checker) report() {
 				return true
 			}
 			for _, res := range n.Results {
-				if c.tainted(res) && !pass.Suppressed("escape", n.Pos()) {
+				if c.taint.Tainted(res) && !pass.Suppressed("escape", n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"scratch buffer %s returned from exported %s escapes the evaluation boundary; return a copy",
 						types.ExprString(res), c.fn.Name.Name)
 				}
 			}
 		case *ast.CallExpr:
-			id, ok := unparen(n.Fun).(*ast.Ident)
+			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 			if !ok || n.Ellipsis != token.NoPos {
 				return true
 			}
@@ -193,7 +185,7 @@ func (c *checker) report() {
 				return true
 			}
 			for _, arg := range n.Args[1:] {
-				if c.tainted(arg) && !pass.Suppressed("escape", n.Pos()) {
+				if c.taint.Tainted(arg) && !pass.Suppressed("escape", n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"scratch buffer %s appended as an element aliases it into another container; append a copy or spread with ...",
 						types.ExprString(arg))
@@ -202,22 +194,6 @@ func (c *checker) report() {
 		}
 		return true
 	})
-}
-
-// tainted reports whether e aliases a scratch slice buffer: a scratch
-// slice field selector, a tainted identifier, or a slice expression
-// over either.
-func (c *checker) tainted(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		obj := c.pass.TypesInfo.Uses[e]
-		return obj != nil && c.taint[obj]
-	case *ast.SliceExpr:
-		return c.tainted(e.X)
-	case *ast.SelectorExpr:
-		return c.isScratchSliceField(e)
-	}
-	return false
 }
 
 // isScratchSliceField reports whether sel reads a slice-typed field of
@@ -247,16 +223,16 @@ func (c *checker) isScratchType(t types.Type) bool {
 // escapingLHS reports whether storing into lhs publishes the value
 // outside the current function.
 func (c *checker) escapingLHS(lhs ast.Expr) bool {
-	lhs = unparen(lhs)
+	lhs = ast.Unparen(lhs)
 	// Storing back into the scratch itself is the idiom (sc.chain =
 	// chain after growth), never an escape.
 	if c.scratchRooted(lhs) {
 		return false
 	}
+	info := c.pass.TypesInfo
 	switch l := lhs.(type) {
 	case *ast.Ident:
-		obj := c.identObj(l)
-		return isPackageLevel(obj)
+		return framework.IsPkgLevel(framework.LocalVar(info, l))
 	case *ast.StarExpr:
 		return true
 	case *ast.SelectorExpr, *ast.IndexExpr:
@@ -264,20 +240,15 @@ func (c *checker) escapingLHS(lhs ast.Expr) bool {
 		if root == nil {
 			return true
 		}
-		obj := c.identObj(root)
-		if obj == nil || isPackageLevel(obj) {
+		v := framework.LocalVar(info, root)
+		if v == nil || framework.IsPkgLevel(v) {
 			return true
 		}
 		// A store through a pointer-typed root reaches memory the
 		// caller can see; a field of a function-local value struct
 		// cannot outlive the frame without a further (checked) store.
-		if v, ok := obj.(*types.Var); ok {
-			if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
-				return true
-			}
-			return false
-		}
-		return true
+		_, isPtr := v.Type().Underlying().(*types.Pointer)
+		return isPtr
 	}
 	return true
 }
@@ -286,7 +257,7 @@ func (c *checker) escapingLHS(lhs ast.Expr) bool {
 // through a scratch-typed base.
 func (c *checker) scratchRooted(e ast.Expr) bool {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			if c.isScratchType(c.pass.TypesInfo.Types[x.X].Type) {
 				return true
@@ -304,13 +275,6 @@ func (c *checker) scratchRooted(e ast.Expr) bool {
 	}
 }
 
-func (c *checker) identObj(id *ast.Ident) types.Object {
-	if obj := c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return c.pass.TypesInfo.Defs[id]
-}
-
 func (c *checker) insideFuncLit(pos token.Pos) bool {
 	for _, r := range c.funcLit {
 		if pos >= r[0] && pos < r[1] {
@@ -320,15 +284,11 @@ func (c *checker) insideFuncLit(pos token.Pos) bool {
 	return false
 }
 
-func isPackageLevel(obj types.Object) bool {
-	return obj != nil && obj.Parent() != nil && obj.Parent().Parent() == types.Universe
-}
-
 // rootIdent walks a selector/index/slice/deref chain to its base
 // identifier (nil if the base is not an identifier).
 func rootIdent(e ast.Expr) *ast.Ident {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			return x
 		case *ast.SelectorExpr:
@@ -342,15 +302,5 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		default:
 			return nil
 		}
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }

@@ -47,37 +47,19 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name:      "sharedwrite",
 	Doc:       "flag unguarded continuation accesses to locations a live spawned goroutine writes (suppress with //mclegal:sharedwrite)",
-	Run:       run,
+	Program:   findings,
 	Scope:     scope.ConcurrencyScope,
 	Directive: "sharedwrite",
 	Example:   "//mclegal:sharedwrite the workers write disjoint index ranges; the race detector runs this path in CI",
 }
 
-type finding struct {
-	pkg *types.Package
-	pos token.Pos
-	msg string
-}
-
-type raceState struct {
-	findings []finding
-}
-
-func state(prog *framework.Program) (*raceState, error) {
-	v, err := prog.CacheLoad("sharedwrite", func() (any, error) { return computeState(prog) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*raceState), nil
-}
-
-func computeState(prog *framework.Program) (*raceState, error) {
+func findings(prog *framework.Program) ([]framework.Finding, error) {
 	cg, err := prog.CallGraph()
 	if err != nil {
 		return nil, err
 	}
 	mayBlock := cg.MayBlock()
-	st := &raceState{}
+	var out []framework.Finding
 	fset := prog.Fset()
 	for _, n := range cg.Nodes() {
 		if n.External() || n.Pkg == nil || !framework.PathMatchesAny(n.Pkg.Path, scope.ConcurrencyScope) {
@@ -86,9 +68,9 @@ func computeState(prog *framework.Program) (*raceState, error) {
 		if len(n.Conc().Spawns) == 0 {
 			continue
 		}
-		st.screen(cg, mayBlock, fset, n)
+		out = append(out, screen(cg, mayBlock, fset, n)...)
 	}
-	return st, nil
+	return out, nil
 }
 
 // writeSet is the locations a spawn's call tree writes, each with the
@@ -158,7 +140,8 @@ func collectCalleeWrites(cg *framework.CallGraph, ws writeSet, n *framework.Node
 
 // screen runs the pre/live/synced statement machine over one spawning
 // function.
-func (st *raceState) screen(cg *framework.CallGraph, mayBlock map[*framework.Node]*framework.BlockWitness, fset *token.FileSet, n *framework.Node) {
+func screen(cg *framework.CallGraph, mayBlock map[*framework.Node]*framework.BlockWitness, fset *token.FileSet, n *framework.Node) []framework.Finding {
+	var out []framework.Finding
 	c := n.Conc()
 	in := func(pos, lo, hi token.Pos) bool { return pos >= lo && pos <= hi }
 
@@ -215,10 +198,9 @@ func (st *raceState) screen(cg *framework.CallGraph, mayBlock map[*framework.Nod
 				if a.Write {
 					kind = "write"
 				}
-				st.findings = append(st.findings, finding{
-					pkg: n.Pkg.Types,
-					pos: a.Pos,
-					msg: fmt.Sprintf("%s of %s races the goroutine spawned at line %d, which writes it with no common guard and no join in between; join first, guard both sides, or justify with //mclegal:sharedwrite <why>",
+				out = append(out, framework.Finding{
+					Pos: a.Pos,
+					Message: fmt.Sprintf("%s of %s races the goroutine spawned at line %d, which writes it with no common guard and no join in between; join first, guard both sides, or justify with //mclegal:sharedwrite <why>",
 						kind, a.Obj.Name(), fset.Position(liveSpawn).Line),
 				})
 			}
@@ -241,6 +223,7 @@ func (st *raceState) screen(cg *framework.CallGraph, mayBlock map[*framework.Nod
 			}
 		}
 	}
+	return out
 }
 
 // commonGuard reports whether the continuation access and every inside
@@ -252,24 +235,4 @@ func commonGuard(outside, inside framework.GuardSet) bool {
 		}
 	}
 	return false
-}
-
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
-	if err != nil {
-		return err
-	}
-	for _, f := range st.findings {
-		if f.pkg != pass.Pkg {
-			continue
-		}
-		if pass.Suppressed("sharedwrite", f.pos) {
-			continue
-		}
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
 }

@@ -35,7 +35,6 @@ package snapshotsafe
 
 import (
 	"fmt"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -52,14 +51,7 @@ var Analyzer = &framework.Analyzer{
 	Scope:     scope.GateBoundary,
 	Directive: "snapshotsafe",
 	Example:   "//mclegal:snapshotsafe this stage runs ungated by construction; its caller owns the snapshot",
-	Run:       run,
-}
-
-type finding struct {
-	pkg  *types.Package
-	pos  token.Pos
-	msg  string
-	supp bool
+	Program:   findings,
 }
 
 // StageProof is the static rollback proof of one gated stage, exported
@@ -79,7 +71,7 @@ type StageProof struct {
 }
 
 type ssState struct {
-	findings []finding
+	findings []framework.Finding
 	proofs   []StageProof
 }
 
@@ -89,6 +81,14 @@ func state(prog *framework.Program) (*ssState, error) {
 		return nil, err
 	}
 	return v.(*ssState), nil
+}
+
+func findings(prog *framework.Program) ([]framework.Finding, error) {
+	st, err := state(prog)
+	if err != nil {
+		return nil, err
+	}
+	return st.findings, nil
 }
 
 // StageProofs exposes the per-stage static proofs of the loaded
@@ -129,10 +129,9 @@ func computeState(prog *framework.Program) (*ssState, error) {
 	ephLocs := make(map[string]bool)
 	for _, e := range vocab.Ephemerals() {
 		if strings.TrimSpace(e.Reason) == "" {
-			pos := fset.Position(e.Pos)
-			st.findings = append(st.findings, finding{
-				pkg: pkgAt(prog, e.Pos), pos: e.Pos,
-				msg: fmt.Sprintf("//mclegal:ephemeral on %s (%s) is missing a justification", e.What, pos.Filename),
+			st.findings = append(st.findings, framework.Finding{
+				Pos: e.Pos, Binding: true,
+				Message: fmt.Sprintf("//mclegal:ephemeral on %s (%s) is missing a justification", e.What, fset.Position(e.Pos).Filename),
 			})
 		}
 		for _, l := range e.Locs {
@@ -153,16 +152,16 @@ func computeState(prog *framework.Program) (*ssState, error) {
 		g := gate{node: n}
 		fields := strings.Fields(reason)
 		if len(fields) == 0 {
-			st.findings = append(st.findings, finding{
-				pkg: n.Pkg.Types, pos: n.Decl.Pos(),
-				msg: fmt.Sprintf("//mclegal:restores on %s names no locations; declare `//mclegal:restores <locs> <why>`", n.Func.Name()),
+			st.findings = append(st.findings, framework.Finding{
+				Pos: n.Decl.Pos(), Binding: true,
+				Message: fmt.Sprintf("//mclegal:restores on %s names no locations; declare `//mclegal:restores <locs> <why>`", n.Func.Name()),
 			})
 			continue
 		}
 		if len(fields) == 1 {
-			st.findings = append(st.findings, finding{
-				pkg: n.Pkg.Types, pos: n.Decl.Pos(),
-				msg: fmt.Sprintf("//mclegal:restores on %s is missing a justification", n.Func.Name()),
+			st.findings = append(st.findings, framework.Finding{
+				Pos: n.Decl.Pos(), Binding: true,
+				Message: fmt.Sprintf("//mclegal:restores on %s is missing a justification", n.Func.Name()),
 			})
 		}
 		bad := false
@@ -172,9 +171,9 @@ func computeState(prog *framework.Program) (*ssState, error) {
 				continue
 			}
 			if !known[l] {
-				st.findings = append(st.findings, finding{
-					pkg: n.Pkg.Types, pos: n.Decl.Pos(),
-					msg: fmt.Sprintf("//mclegal:restores on %s names unknown location %q (known: %s)", n.Func.Name(), l, strings.Join(vocab.LocNames(), ", ")),
+				st.findings = append(st.findings, framework.Finding{
+					Pos: n.Decl.Pos(), Binding: true,
+					Message: fmt.Sprintf("//mclegal:restores on %s names unknown location %q (known: %s)", n.Func.Name(), l, strings.Join(vocab.LocNames(), ", ")),
 				})
 				bad = true
 				continue
@@ -185,22 +184,21 @@ func computeState(prog *framework.Program) (*ssState, error) {
 			continue
 		}
 		sort.Strings(g.restores)
-		st.checkGate(prog, cg, effects, vocab, fset, g, ephLocs)
+		st.checkGate(prog, cg, effects, vocab, g, ephLocs)
 	}
-	sort.Slice(st.findings, func(i, j int) bool { return st.findings[i].pos < st.findings[j].pos })
 	sort.Slice(st.proofs, func(i, j int) bool { return st.proofs[i].Type < st.proofs[j].Type })
 	return st, nil
 }
 
 // checkGate proves coverage for every in-program implementation of the
 // gate package's Stage interface.
-func (st *ssState) checkGate(prog *framework.Program, cg *framework.CallGraph, effects map[*framework.Node]*framework.WriteEffects, vocab *writeloc.Vocab, fset *token.FileSet, g gate, ephLocs map[string]bool) {
+func (st *ssState) checkGate(prog *framework.Program, cg *framework.CallGraph, effects map[*framework.Node]*framework.WriteEffects, vocab *writeloc.Vocab, g gate, ephLocs map[string]bool) {
 	gatePkg := g.node.Pkg
 	iface := stageInterface(gatePkg)
 	if iface == nil {
-		st.findings = append(st.findings, finding{
-			pkg: gatePkg.Types, pos: g.node.Decl.Pos(),
-			msg: fmt.Sprintf("//mclegal:restores on %s has no Stage interface in its package to prove coverage against", g.node.Func.Name()),
+		st.findings = append(st.findings, framework.Finding{
+			Pos: g.node.Decl.Pos(), Binding: true,
+			Message: fmt.Sprintf("//mclegal:restores on %s has no Stage interface in its package to prove coverage against", g.node.Func.Name()),
 		})
 		return
 	}
@@ -238,11 +236,10 @@ func (st *ssState) checkGate(prog *framework.Program, cg *framework.CallGraph, e
 				continue
 			}
 			proof.Uncovered = append(proof.Uncovered, l)
-			w, _ := writeloc.Witness(vocab, we.Effects, l)
-			st.findings = append(st.findings, finding{
-				pkg: node.Pkg.Types, pos: node.Decl.Pos(), supp: true,
-				msg: fmt.Sprintf("(%s).Run's call tree writes %s (e.g. %s at %s), which %s's rollback does not restore and no //mclegal:ephemeral covers; add the location to the snapshot/rollback path or declare its type ephemeral",
-					proof.Type, l, witnessName(w), fset.Position(w.Pos), gateName),
+			st.findings = append(st.findings, framework.Finding{
+				Pos: node.Decl.Pos(),
+				Message: fmt.Sprintf("(%s).Run's call tree writes %s (e.g. %s), which %s's rollback does not restore and no //mclegal:ephemeral covers; add the location to the snapshot/rollback path or declare its type ephemeral",
+					proof.Type, l, vocab.Witness(we.Effects, l), gateName),
 			})
 		}
 		st.proofs = append(st.proofs, proof)
@@ -294,27 +291,6 @@ func runMethod(named *types.Named) *types.Func {
 	return fn
 }
 
-func pkgAt(prog *framework.Program, pos token.Pos) *types.Package {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			if f.FileStart <= pos && pos <= f.FileEnd {
-				return pkg.Types
-			}
-		}
-	}
-	return nil
-}
-
-func witnessName(w framework.WriteEffect) string {
-	if w.Obj == nil {
-		return "?"
-	}
-	if w.Obj.Pkg() != nil {
-		return w.Obj.Pkg().Name() + "." + w.Obj.Name()
-	}
-	return w.Obj.Name()
-}
-
 func containsString(xs []string, s string) bool {
 	for _, x := range xs {
 		if x == s {
@@ -322,24 +298,4 @@ func containsString(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
-	if err != nil {
-		return err
-	}
-	for _, f := range st.findings {
-		if f.pkg != pass.Pkg {
-			continue
-		}
-		if f.supp && pass.Suppressed("snapshotsafe", f.pos) {
-			continue
-		}
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
 }

@@ -104,3 +104,10 @@ func (s *Server) PeekBare(name string) *model.Design {
 func (s *Server) AddClone(name string, d *model.Design) {
 	s.designs[name] = d.Clone()
 }
+
+// LookupVar is Lookup through a var declaration, which binds a store
+// read exactly like := does.
+func (s *Server) LookupVar(name string) *model.Design {
+	var d = s.designs[name]
+	return d // want "returns an interior pointer"
+}

@@ -31,6 +31,7 @@ func BestInWindow(dst *[]int, n int) int {
 	i := sort.Search(n, func(i int) bool { return i >= n/2 }) // allow-listed; closure accepted
 	leak := make([]int, n)                                    // want `make allocates on every call`
 	*dst = append((*dst)[:0], leak...)                        // rooted: pointer parameter
+	engineCases(reps, n)
 	return helper(n) + curve.Accumulate(reps, n) + i
 }
 
@@ -60,4 +61,42 @@ func BareRoot(n int) { // want `//mclegal:hotpath directive is missing a justifi
 func NotHot(n int) []int {
 	out := make([]int, n)
 	return out
+}
+
+// engineCases reaches the rootedness shapes of the shared taint engine
+// from the hot root.
+func engineCases(buf []int, n int) {
+	pooledCommaOk(n)
+	grid.fill(n)
+	_ = appendParam(buf, n)
+}
+
+// pooledCommaOk takes its scratch through a comma-ok assertion: the
+// multi-value bind still roots sc in pooled storage, so its growth is
+// warm-up.
+func pooledCommaOk(n int) {
+	sc, ok := pool.Get().(*scratch)
+	if !ok {
+		return
+	}
+	sc.buf = append(sc.buf[:0], n)
+	pool.Put(sc)
+}
+
+type rows struct{ rows [][]int }
+
+var grid rows
+
+// fill reuses each receiver-owned row: a range variable over rooted
+// storage is rooted too.
+func (r *rows) fill(n int) {
+	for i, row := range r.rows {
+		r.rows[i] = append(row[:0], n)
+	}
+}
+
+// appendParam grows a slice parameter, whose header is the caller's
+// copy: the growth lands in a fresh array on every call.
+func appendParam(buf []int, n int) []int {
+	return append(buf, n) // want `append allocates on every call`
 }

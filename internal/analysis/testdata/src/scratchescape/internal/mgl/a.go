@@ -75,3 +75,23 @@ func justified(sc *scratch, r *result) {
 	//mclegal:escape caller copies r.moves before the scratch is released
 	r.moves = sc.moves
 }
+
+// ExportedGrown returns scratch storage grown in place: append's first
+// operand carries the taint to its result.
+func ExportedGrown(sc *scratch) []move {
+	grown := append(sc.moves[:0], move{})
+	return grown // want `scratch buffer grown returned from exported ExportedGrown`
+}
+
+type ref struct {
+	m    *move
+	last move
+}
+
+// storeAddress parks a pointer into the scratch backing array: the
+// address carries the taint although a copied move would not, so only
+// the first store is an escape.
+func storeAddress(sc *scratch, r *ref) {
+	r.m = &sc.moves[0] // want `scratch buffer &sc\.moves\[0\] is aliased past the evaluation boundary`
+	r.last = sc.moves[0]
+}

@@ -25,6 +25,7 @@
 package writeloc
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -237,17 +238,22 @@ func (v *Vocab) EffectLocs(effs []framework.WriteEffect) []string {
 	return out
 }
 
-// Witness returns the first effect whose object maps to loc (the
-// concrete store the diagnostics point at).
-func Witness(v *Vocab, effs []framework.WriteEffect, loc string) (framework.WriteEffect, bool) {
+// Witness names the first effect of effs that writes loc, with its
+// position (e.g. "model.X at model.go:12:3"), as a finding's example.
+func (v *Vocab) Witness(effs []framework.WriteEffect, loc string) string {
 	for _, e := range effs {
 		for _, l := range v.fieldLocs[e.Obj] {
-			if l == loc {
-				return e, true
+			if l != loc {
+				continue
 			}
+			name := e.Obj.Name()
+			if e.Obj.Pkg() != nil {
+				name = e.Obj.Pkg().Name() + "." + name
+			}
+			return fmt.Sprintf("%s at %s", name, v.prog.Fset().Position(e.Pos))
 		}
 	}
-	return framework.WriteEffect{}, false
+	return "?"
 }
 
 // ValueWrites returns the tracked fields written when a whole value of

@@ -48,29 +48,15 @@ var Analyzer = &framework.Analyzer{
 	Scope:     scope.DeterministicCore,
 	Directive: "writeset",
 	Example:   "//mclegal:writeset the debug hook is wired only by tests and receives value copies",
-	Run:       run,
+	Program:   findings,
 }
 
-type finding struct {
-	pkg  *types.Package
-	pos  token.Pos
-	msg  string
-	supp bool // eligible for //mclegal:writeset suppression
-}
-
+// wsState accumulates the findings of one program run.
 type wsState struct {
-	findings []finding
+	findings []framework.Finding
 }
 
-func state(prog *framework.Program) (*wsState, error) {
-	v, err := prog.CacheLoad("writeset", func() (any, error) { return computeState(prog) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*wsState), nil
-}
-
-func computeState(prog *framework.Program) (*wsState, error) {
+func findings(prog *framework.Program) ([]framework.Finding, error) {
 	effects, vocab, err := writeloc.Effects(prog)
 	if err != nil {
 		return nil, err
@@ -80,7 +66,6 @@ func computeState(prog *framework.Program) (*wsState, error) {
 		return nil, err
 	}
 	st := &wsState{}
-	fset := prog.Fset()
 	// Unknown call sites are shared by every entrypoint whose tree
 	// reaches them; report each site once.
 	unknownSeen := make(map[token.Pos]bool)
@@ -103,20 +88,15 @@ func computeState(prog *framework.Program) (*wsState, error) {
 				continue
 			}
 			unknownSeen[u.Pos] = true
-			pkg := n.Pkg.Types
-			if u.Owner != nil && u.Owner.Pkg() != nil {
-				pkg = u.Owner.Pkg()
-			}
-			st.findings = append(st.findings, finding{
-				pkg: pkg, pos: u.Pos, supp: true,
-				msg: fmt.Sprintf("write set of exported entrypoint %s is unprovable: %s; make the call static or justify with //mclegal:writeset <why>",
+			st.findings = append(st.findings, framework.Finding{
+				Pos: u.Pos,
+				Message: fmt.Sprintf("write set of exported entrypoint %s is unprovable: %s; make the call static or justify with //mclegal:writeset <why>",
 					n.Func.Name(), u.What),
 			})
 		}
-		st.checkDecl(vocab, fset, n, we)
+		st.checkDecl(vocab, n, we)
 	}
-	sort.Slice(st.findings, func(i, j int) bool { return st.findings[i].pos < st.findings[j].pos })
-	return st, nil
+	return st.findings, nil
 }
 
 // isEntrypoint reports whether fn is part of the package's exported
@@ -146,38 +126,34 @@ func isEntrypoint(fn *types.Func) bool {
 
 // checkDecl compares the //mclegal:writes declaration of one
 // entrypoint against its computed write set.
-func (st *wsState) checkDecl(vocab *writeloc.Vocab, fset *token.FileSet, n *framework.Node, we *framework.WriteEffects) {
+func (st *wsState) checkDecl(vocab *writeloc.Vocab, n *framework.Node, we *framework.WriteEffects) {
 	actual := vocab.EffectLocs(we.Effects)
 	reason, declared := framework.DocDirective(n.Decl.Doc, "writes")
 	pos := n.Decl.Pos()
-	pkg := n.Pkg.Types
 
 	if !declared {
 		if len(actual) == 0 {
 			return // provably write-free, nothing to declare
 		}
-		w, _ := writeloc.Witness(vocab, we.Effects, actual[0])
-		st.findings = append(st.findings, finding{
-			pkg: pkg, pos: pos, supp: true,
-			msg: fmt.Sprintf("exported entrypoint %s mutates %s (e.g. %s at %s) but carries no //mclegal:writes declaration; add `//mclegal:writes %s <why>` to its doc comment",
-				n.Func.Name(), strings.Join(actual, ","), witnessName(w), fset.Position(w.Pos), strings.Join(actual, ",")),
-		})
+		st.findings = append(st.findings, framework.Finding{Pos: pos, Message: fmt.Sprintf(
+			"exported entrypoint %s mutates %s (e.g. %s) but carries no //mclegal:writes declaration; add `//mclegal:writes %s <why>` to its doc comment",
+			n.Func.Name(), strings.Join(actual, ","), vocab.Witness(we.Effects, actual[0]), strings.Join(actual, ","))})
 		return
 	}
 
 	fields := strings.Fields(reason)
 	if len(fields) == 0 {
-		st.findings = append(st.findings, finding{
-			pkg: pkg, pos: pos,
-			msg: fmt.Sprintf("//mclegal:writes on %s names no locations; declare `//mclegal:writes %s <why>`", n.Func.Name(), strings.Join(actual, ",")),
+		st.findings = append(st.findings, framework.Finding{
+			Pos: pos, Binding: true,
+			Message: fmt.Sprintf("//mclegal:writes on %s names no locations; declare `//mclegal:writes %s <why>`", n.Func.Name(), strings.Join(actual, ",")),
 		})
 		return
 	}
 	declaredLocs := splitLocs(fields[0])
 	if len(fields) == 1 {
-		st.findings = append(st.findings, finding{
-			pkg: pkg, pos: pos,
-			msg: fmt.Sprintf("//mclegal:writes on %s is missing a justification", n.Func.Name()),
+		st.findings = append(st.findings, framework.Finding{
+			Pos: pos, Binding: true,
+			Message: fmt.Sprintf("//mclegal:writes on %s is missing a justification", n.Func.Name()),
 		})
 	}
 	known := make(map[string]bool)
@@ -186,9 +162,9 @@ func (st *wsState) checkDecl(vocab *writeloc.Vocab, fset *token.FileSet, n *fram
 	}
 	for _, l := range declaredLocs {
 		if !known[l] {
-			st.findings = append(st.findings, finding{
-				pkg: pkg, pos: pos,
-				msg: fmt.Sprintf("//mclegal:writes on %s names unknown location %q (known: %s)", n.Func.Name(), l, strings.Join(vocab.LocNames(), ", ")),
+			st.findings = append(st.findings, framework.Finding{
+				Pos: pos, Binding: true,
+				Message: fmt.Sprintf("//mclegal:writes on %s names unknown location %q (known: %s)", n.Func.Name(), l, strings.Join(vocab.LocNames(), ", ")),
 			})
 			return
 		}
@@ -199,21 +175,11 @@ func (st *wsState) checkDecl(vocab *writeloc.Vocab, fset *token.FileSet, n *fram
 		if want == "" {
 			want = "nothing — delete the declaration"
 		}
-		st.findings = append(st.findings, finding{
-			pkg: pkg, pos: pos,
-			msg: fmt.Sprintf("stale //mclegal:writes on %s: declares %s but the provable write set is %s", n.Func.Name(), have, want),
+		st.findings = append(st.findings, framework.Finding{
+			Pos: pos, Binding: true,
+			Message: fmt.Sprintf("stale //mclegal:writes on %s: declares %s but the provable write set is %s", n.Func.Name(), have, want),
 		})
 	}
-}
-
-func witnessName(w framework.WriteEffect) string {
-	if w.Obj == nil {
-		return "?"
-	}
-	if w.Obj.Pkg() != nil {
-		return w.Obj.Pkg().Name() + "." + w.Obj.Name()
-	}
-	return w.Obj.Name()
 }
 
 func splitLocs(s string) []string {
@@ -238,24 +204,4 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func run(pass *framework.Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	st, err := state(pass.Prog)
-	if err != nil {
-		return err
-	}
-	for _, f := range st.findings {
-		if f.pkg != pass.Pkg {
-			continue
-		}
-		if f.supp && pass.Suppressed("writeset", f.pos) {
-			continue
-		}
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
 }
