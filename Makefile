@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-json race allocs check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
+.PHONY: all build test vet lint vet-json vet-coverage race allocs check bench bench-smoke bench-json mclbench-check clean fuzz faults chaos
 
 all: check
 
@@ -34,6 +34,23 @@ lint: vet
 # report. Exit codes match the text mode.
 vet-json:
 	$(GO) run ./cmd/mclegal-vet -json ./...
+
+# Statement coverage of the analyzer suite over the module and its
+# self-check: builds mclegal-vet with coverage counters (the main
+# package must be in -coverpkg, or the binary writes none), runs it
+# over ./... and ./internal/analysis/..., and prints every function
+# neither run executed (the 0.0% lines of `go tool covdata func`).
+# Report paths always appear, because a clean tree reports nothing; an
+# acceptance rule that appears is code no site needs. Output goes to
+# .vet-coverage/. An audit, not a gate: `check` does not run it.
+VET_COVERAGE := .vet-coverage
+vet-coverage:
+	rm -rf $(VET_COVERAGE) && mkdir -p $(VET_COVERAGE)/data
+	$(GO) build -cover -coverpkg=./cmd/mclegal-vet,./internal/analysis/... \
+		-o $(VET_COVERAGE)/mclegal-vet ./cmd/mclegal-vet
+	GOCOVERDIR=$(VET_COVERAGE)/data $(VET_COVERAGE)/mclegal-vet ./...
+	GOCOVERDIR=$(VET_COVERAGE)/data $(VET_COVERAGE)/mclegal-vet ./internal/analysis/...
+	$(GO) tool covdata func -i=$(VET_COVERAGE)/data | awk '$$NF == "0.0%"'
 
 test:
 	$(GO) test ./...

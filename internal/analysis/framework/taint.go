@@ -22,11 +22,12 @@ import (
 // A Taint is a local may-taint analysis over one function body. Taint
 // enters at the client's sources and at seeded variables, flows
 // through `=`, `:=`, `var` and `range` bindings of local variables
-// (a multi-value bind taints every variable it binds), and follows
-// field selection, indexing, reslicing, `*`, type assertions,
-// conversions and append's first operand. Taking an address follows
-// the addressed path whatever the value types along it: &d.Cells[0]
-// points into d even though a copied Cell would not.
+// (a multi-value bind taints every variable it binds whose type
+// carries taint), and follows field selection, indexing, reslicing,
+// `*`, type assertions, conversions and append's first operand.
+// Taking an address follows the addressed path whatever the value
+// types along it: &d.Cells[0] points into d even though a copied Cell
+// would not.
 type Taint struct {
 	Info *types.Info
 	// Source reports whether e is tainted in its own right: a
@@ -70,11 +71,11 @@ func (t *Taint) Solve(body ast.Node) {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range s.Lhs {
-					bind(lhs, t.Tainted(paired(s.Rhs, len(s.Lhs), i)))
+					bind(lhs, t.bound(lhs, s.Rhs, len(s.Lhs), i))
 				}
 			case *ast.ValueSpec:
 				for i, name := range s.Names {
-					bind(name, t.Tainted(paired(s.Values, len(s.Names), i)))
+					bind(name, t.bound(name, s.Values, len(s.Names), i))
 				}
 			case *ast.RangeStmt:
 				over := t.Tainted(s.X) || t.elems(s.X)
@@ -86,17 +87,19 @@ func (t *Taint) Solve(body ast.Node) {
 	}
 }
 
-// paired matches the i-th of n bound names with its value: one to one
-// for parallel binds, the single value for a multi-value bind (a call,
-// map index, type assertion or receive), nil otherwise.
-func paired(values []ast.Expr, n, i int) ast.Expr {
+// bound reports whether lhs, the i-th of n names bound from values,
+// receives a tainted value: one to one for parallel binds. The value
+// of a multi-value bind (a call, map index, type assertion or receive)
+// has a tuple type, which says nothing about the one name, so the
+// Carries gate applies to the name's own type instead.
+func (t *Taint) bound(lhs ast.Expr, values []ast.Expr, n, i int) bool {
 	switch len(values) {
 	case n:
-		return values[i]
+		return t.Tainted(values[i])
 	case 1:
-		return values[0]
+		return t.carries(t.Info.TypeOf(lhs)) && t.flows(values[0], true)
 	}
-	return nil
+	return false
 }
 
 // bindable resolves a binding target to the local variable it names,
@@ -116,20 +119,24 @@ func (t *Taint) bindable(lhs ast.Expr) *types.Var {
 
 func (t *Taint) elems(e ast.Expr) bool { return t.Elems != nil && t.Elems(e) }
 
+func (t *Taint) carries(ty types.Type) bool {
+	return t.Carries == nil || ty == nil || t.Carries(ty)
+}
+
 // Tainted reports whether e may denote a tainted value.
 func (t *Taint) Tainted(e ast.Expr) bool { return t.expr(e, true) }
 
 // expr is Tainted with the type gate optional: below an address-of,
 // the path's value types do not gate (gated is false).
 func (t *Taint) expr(e ast.Expr, gated bool) bool {
-	if e == nil {
+	if e == nil || gated && !t.carries(t.Info.TypeOf(e)) {
 		return false
 	}
-	if gated && t.Carries != nil {
-		if ty := t.Info.TypeOf(e); ty != nil && !t.Carries(ty) {
-			return false
-		}
-	}
+	return t.flows(e, gated)
+}
+
+// flows is expr below the type gate of e itself.
+func (t *Taint) flows(e ast.Expr, gated bool) bool {
 	if call, ok := e.(*ast.CallExpr); ok && t.Stop != nil && t.Stop(call) {
 		return false
 	}

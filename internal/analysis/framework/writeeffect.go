@@ -73,8 +73,8 @@ type WriteEffect struct {
 	// Obj is the written location: a struct field object (shared by
 	// all instances of the type) or a package-level variable.
 	Obj *types.Var
-	// Pos is the witness store — the first concrete assignment that
-	// produced this effect.
+	// Pos is the witness store — the concrete assignment with the least
+	// position among those that produced this effect.
 	Pos token.Pos
 	// Owner is the function whose body contains the witness (a
 	// transitive callee of the summarized function, possibly itself).
@@ -188,9 +188,12 @@ func newWEState() *weState {
 
 func (s *weState) size() int { return len(s.eff) + len(s.unk) }
 
+// add records e under its key, keeping the least witness position:
+// foldNode feeds effects from map ranges, so "first seen" would change
+// from run to run.
 func (s *weState) add(e WriteEffect) {
 	k := effKey{obj: e.Obj, root: e.Root, param: e.Param, crossed: e.Crossed}
-	if _, ok := s.eff[k]; !ok {
+	if old, ok := s.eff[k]; !ok || e.Pos < old.Pos {
 		s.eff[k] = e
 	}
 }

@@ -1,7 +1,9 @@
 package framework_test
 
 import (
+	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,5 +205,59 @@ func TestWriteEffectsMethodValuesAndUnknowns(t *testing.T) {
 	leak := res["w.Leak"]
 	if len(leak.Unknown) != 1 || !strings.Contains(leak.Unknown[0].What, "ext.Touch") {
 		t.Errorf("Leak: external call receiving tracked state must fail closed, got %+v", leak.Unknown)
+	}
+}
+
+const witnessFixture = `package v
+
+type Cell struct{ X int }
+
+// Set writes X through eight parameters.
+func Set(a, b, c, d, e, f, g, h *Cell) {
+	a.X, b.X, c.X, d.X = 1, 2, 3, 4
+	e.X, f.X, g.X, h.X = 5, 6, 7, 8
+}
+
+// Same passes one cell to all eight: Set's eight effects re-root onto
+// one key of Same's summary, each with its own witness.
+func Same(p *Cell) { Set(p, p, p, p, p, p, p, p) }
+
+// Twice reaches the same collision through two call sites.
+func Twice(p, q *Cell) {
+	Same(q)
+	Set(p, q, p, q, p, q, p, q)
+}
+`
+
+// Callee effects that re-root onto one caller key arrive from map
+// ranges, so a first-seen witness would differ between computations
+// over the same program. The engine keeps the least position: every
+// computation names the same witness, and it is Set's first store.
+func TestWriteEffectWitnessesAreDeterministic(t *testing.T) {
+	ld := writeFixtureModule(t, map[string]string{"v/v.go": witnessFixture})
+	_, cg := loadGraph(t, ld, "v")
+	witnesses := func() map[string][]token.Pos {
+		out := make(map[string][]token.Pos)
+		for n, we := range cg.WriteEffects(testWriteVocab()) {
+			for _, e := range we.Effects {
+				out[n.Func.FullName()] = append(out[n.Func.FullName()], e.Pos)
+			}
+		}
+		return out
+	}
+	first, second := witnesses(), witnesses()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("witness positions differ between two computations:\n%v\n%v", first, second)
+	}
+	set := first["v.Set"]
+	if len(set) != 8 {
+		t.Fatalf("Set: got %d effects, want one per parameter", len(set))
+	}
+	for _, fn := range []string{"v.Same", "v.Twice"} {
+		for _, pos := range first[fn] {
+			if pos != set[0] {
+				t.Errorf("%s: witness at %v, want Set's first store at %v", fn, pos, set[0])
+			}
+		}
 	}
 }

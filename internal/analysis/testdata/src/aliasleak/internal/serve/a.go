@@ -111,3 +111,13 @@ func (s *Server) LookupVar(name string) *model.Design {
 	var d = s.designs[name]
 	return d // want "returns an interior pointer"
 }
+
+// LookupOk is Lookup through a comma-ok read: the bind has a tuple
+// type, so the taint is gated on the bound variable's type.
+func (s *Server) LookupOk(name string) *model.Design {
+	d, ok := s.designs[name]
+	if !ok {
+		return nil
+	}
+	return d // want "returns an interior pointer"
+}

@@ -5,7 +5,7 @@ package mgl
 
 func sumKeys(m map[int]string) int {
 	total := 0
-	for k := range m {
+	for k := range m { // want `range over map m in deterministic package`
 		total += k
 	}
 	return total
@@ -13,7 +13,7 @@ func sumKeys(m map[int]string) int {
 
 func countAndMask(m map[int]int) (int, int) {
 	n, mask := 0, 0
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		n++
 		mask |= v
 	}
@@ -22,7 +22,7 @@ func countAndMask(m map[int]int) (int, int) {
 
 func histogram(m map[string]int) map[int]int {
 	hist := make(map[int]int)
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		hist[v]++
 	}
 	return hist
@@ -30,7 +30,7 @@ func histogram(m map[string]int) map[int]int {
 
 func minMaxBuiltin(m map[int]int) (int, int) {
 	lo, hi := 1<<62, -(1 << 62)
-	for k := range m {
+	for k := range m { // want `range over map m in deterministic package`
 		lo = min(lo, k)
 		hi = max(hi, k)
 	}
@@ -39,7 +39,7 @@ func minMaxBuiltin(m map[int]int) (int, int) {
 
 func runningMax(m map[int]int) int {
 	best := -1
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		if v > best {
 			best = v
 		}
@@ -49,7 +49,7 @@ func runningMax(m map[int]int) int {
 
 func setInsertByValue(m map[int]int) map[int]bool {
 	seen := make(map[int]bool)
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		seen[v] = true // constant store: colliding cells agree
 	}
 	return seen
@@ -57,7 +57,7 @@ func setInsertByValue(m map[int]int) map[int]bool {
 
 func setInsertStruct(m map[int]int) map[int]struct{} {
 	seen := make(map[int]struct{})
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		seen[v] = struct{}{}
 	}
 	return seen
@@ -65,7 +65,7 @@ func setInsertStruct(m map[int]int) map[int]struct{} {
 
 func invertByKey(m map[int]int) map[int]int {
 	inv := make(map[int]int, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `range over map m in deterministic package`
 		inv[k] = v // keyed by the range key: every cell is distinct
 	}
 	return inv
@@ -73,7 +73,7 @@ func invertByKey(m map[int]int) map[int]int {
 
 func xorWithConversion(m map[int]int32) int {
 	acc := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over map m in deterministic package`
 		acc ^= int(v) // conversions and len/min/max builtins are pure
 	}
 	return acc

@@ -15,8 +15,7 @@
 //	grid       — the seg.Grid/seg.Segment row segmentation
 //	occupancy  — the MGL legalizer's per-run occupancy index
 //	routememo  — route.Rules/route.Checker memo and rail state
-//	stagectx   — stage.PipelineContext fields (stats, reports,
-//	              artifacts)
+//	stagectx   — stage.PipelineContext fields (stats, reports)
 //
 // Package paths are matched by suffix (framework.PathMatchesAny), so
 // the same vocabulary resolves over the real module and over
@@ -198,10 +197,6 @@ func (v *Vocab) Tracked(obj *types.Var) bool {
 	_, ok := v.fieldLocs[obj]
 	return ok
 }
-
-// LocsOf returns the location names of a tracked object (nil for
-// untracked).
-func (v *Vocab) LocsOf(obj *types.Var) []string { return v.fieldLocs[obj] }
 
 // LocNames returns every location name the vocabulary defines, sorted.
 func (v *Vocab) LocNames() []string {

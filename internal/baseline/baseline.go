@@ -17,7 +17,6 @@ func MLL(d *model.Design, workers int) error {
 	_, err := mgl.Legalize(d, mgl.Options{
 		Workers:         workers,
 		CostFromCurrent: true,
-		GrowFactor:      2,
 		MaxChain:        48,
 		BatchCap:        32,
 		PruneSlackRows:  8,

@@ -372,8 +372,8 @@ func buildPipeline(pc *stage.PipelineContext, opt Options) stage.Pipeline {
 		// a larger total φ after the stage is a broken invariant. (The
 		// raw max displacement in rows may grow slightly: φ is linear
 		// below δ0, where trades across cells are by design.)
-		MetricChecks: map[string]func(before, after eval.Metrics) error{
-			stage.NameMaxDisp: func(before, after eval.Metrics) error {
+		MetricChecks: map[string]func() error{
+			stage.NameMaxDisp: func() error {
 				if st := pc.MaxDispStats; st.CostAfter > st.CostBefore {
 					return fmt.Errorf("maxdisp: phi cost regressed from %d to %d",
 						st.CostBefore, st.CostAfter)

@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mclegal/internal/faults"
+	"mclegal/internal/freelist"
 	"mclegal/internal/geom"
 	"mclegal/internal/matching"
 	"mclegal/internal/model"
@@ -100,7 +100,7 @@ func OptimizeContext(ctx context.Context, d *model.Design, opt Options) (Stats, 
 	}
 	delta0 := int64(opt.Delta0Rows * float64(d.Tech.RowH))
 
-	ws := workspacePool.Get().(*workspace)
+	ws := workspacePool.Get()
 	defer workspacePool.Put(ws)
 	// One sort of the movables by (type, fence, Y, X, ID) lays out the
 	// groups as runs in the order they are solved, each ordered by
@@ -175,7 +175,7 @@ type workspace struct {
 }
 
 // workspacePool hands out workspaces to concurrent optimizations.
-var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+var workspacePool freelist.List[workspace]
 
 // optimizeGroup re-assigns one group of interchangeable cells to the
 // multiset of their positions. The ctx flows into the assignment

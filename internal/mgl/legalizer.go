@@ -105,6 +105,9 @@ func (l *Legalizer) Order() []model.CellID {
 	return ids
 }
 
+// growFactor multiplies the window extents at each growth step.
+const growFactor = 2
+
 // windowFor returns the (attempt-times grown) search window of cell t,
 // clamped to the core.
 func (l *Legalizer) windowFor(t model.CellID, attempt int) geom.Rect {
@@ -119,8 +122,8 @@ func (l *Legalizer) windowFor(t model.CellID, attempt int) geom.Rect {
 		hh = ct.Height + 2
 	}
 	for i := 0; i < attempt; i++ {
-		hw *= l.opt.GrowFactor
-		hh *= l.opt.GrowFactor
+		hw *= growFactor
+		hh *= growFactor
 	}
 	core := l.d.Tech.CoreRect()
 	win := geom.Rect{
@@ -150,15 +153,13 @@ func betterPlan(p, best plan, gy int) bool {
 	return p.x < best.x
 }
 
-// bestInWindow evaluates every insertion point of t in win and returns
-// the cheapest feasible plan. The winning plan's moves are copied into
-// *dst (reusing its capacity), so the returned plan stays valid after
-// the evaluation's scratch buffers are recycled.
+// bestInWindow evaluates every insertion point of t in win on the
+// calling worker's scratch sc and returns the cheapest feasible plan.
+// The winning plan's moves are copied into *dst (reusing its
+// capacity), so the returned plan stays valid after sc is reused.
 //
 //mclegal:hotpath per-cell inner loop of MGL; TestBestInWindowZeroAlloc pins it to 0 allocs/op after warm-up
-func (l *Legalizer) bestInWindow(t model.CellID, win geom.Rect, dst *[]move) (plan, bool) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+func (l *Legalizer) bestInWindow(sc *scratch, t model.CellID, win geom.Rect, dst *[]move) (plan, bool) {
 	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(win))
 
 	// Scan candidate rows outward from the GP row (see scanRow) so that
@@ -487,13 +488,13 @@ func (l *Legalizer) addRowTasks(i int) {
 	rs.taskLo[i+1] = int32(len(rs.tasks))
 }
 
-// runTask evaluates task k of the current batch against the snapshot:
-// slot k's window, or one row of a split window. A panic inside the
-// evaluation is recovered into a typed *WorkerPanicError carrying the
-// cell and stack — RunContext reports the lowest slot's — so a
-// degenerate window can never crash the process. An injected panic is
-// raised in its window's first task.
-func (l *Legalizer) runTask(k int) {
+// runTask evaluates task k of the current batch against the snapshot
+// on the calling worker's scratch sc: slot k's window, or one row of a
+// split window. A panic inside the evaluation is recovered into a
+// typed *WorkerPanicError carrying the cell and stack — RunContext
+// reports the lowest slot's — so a degenerate window can never crash
+// the process. An injected panic is raised in its window's first task.
+func (l *Legalizer) runTask(sc *scratch, k int) {
 	rs := &l.rs
 	i := k
 	if rs.split {
@@ -510,17 +511,17 @@ func (l *Legalizer) runTask(k int) {
 		panic("injected worker panic")
 	}
 	if rs.split {
-		l.evalRow(k)
+		l.evalRow(sc, k)
 		return
 	}
-	rs.plans[i], rs.oks[i] = l.bestInWindow(rs.batch[i], rs.wins[i], &rs.moves[i])
+	rs.plans[i], rs.oks[i] = l.bestInWindow(sc, rs.batch[i], rs.wins[i], &rs.moves[i])
 }
 
 // evalRow evaluates row task k unless the finished rows before it in
 // its window's scan order prove the sequential scan stops at or before
 // it: their best cost is at least the sequential best at that point,
 // so the stop condition holds there too.
-func (l *Legalizer) evalRow(k int) {
+func (l *Legalizer) evalRow(sc *scratch, k int) {
 	rs := &l.rs
 	tk := &rs.tasks[k]
 	if tk.y < 0 {
@@ -535,10 +536,8 @@ func (l *Legalizer) evalRow(k int) {
 		return
 	}
 	t := rs.batch[tk.slot]
-	sc := scratchPool.Get().(*scratch)
 	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[tk.slot]))
 	p := l.bestInRow(sc, t, int(tk.y), int(l.hot.H[t]), rs.wins[tk.slot], plan{})
-	scratchPool.Put(sc)
 	if p.ok {
 		tk.x, tk.x0 = int32(p.x), int32(p.x0)
 		tk.cost.Store(p.cost)
@@ -547,8 +546,8 @@ func (l *Legalizer) evalRow(k int) {
 
 // replay turns split slot i's row results into the plan bestInWindow
 // returns: it picks the row as the sequential scan does, then evaluates
-// the winning insertion point again for its moves.
-func (l *Legalizer) replay(i int) {
+// the winning insertion point again for its moves, on sc.
+func (l *Legalizer) replay(sc *scratch, i int) {
 	rs := &l.rs
 	t := rs.batch[i]
 	lo := rs.taskLo[i]
@@ -558,8 +557,6 @@ func (l *Legalizer) replay(i int) {
 		return
 	}
 	tk := &rs.tasks[int(lo)+k]
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
 	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[i]))
 	p, ok := l.evaluateInsertion(sc, t, int(tk.y), int(l.hot.H[t]), int(tk.x0), rs.wins[i])
 	if !ok || p.x != int(tk.x) || p.cost != tk.cost.Load() {
@@ -604,9 +601,9 @@ func (l *Legalizer) replayRows(tasks []rowTask, gy int) (win, speculative int) {
 }
 
 // drain claims tasks of the current batch through the shared cursor
-// and evaluates them until none is left or ctx is cancelled; RunContext
-// checks ctx before interpreting any result.
-func (l *Legalizer) drain(ctx context.Context) {
+// and evaluates them on sc until none is left or ctx is cancelled;
+// RunContext checks ctx before interpreting any result.
+func (l *Legalizer) drain(ctx context.Context, sc *scratch) {
 	rs := &l.rs
 	n := len(rs.batch)
 	if rs.split {
@@ -617,7 +614,7 @@ func (l *Legalizer) drain(ctx context.Context) {
 		if k >= n {
 			return
 		}
-		l.runTask(k)
+		l.runTask(sc, k)
 	}
 }
 
@@ -654,7 +651,7 @@ func (l *Legalizer) evaluate(ctx context.Context, pool *evalPool) error {
 	if rs.split {
 		l.Stats.SplitBatches++
 		for i := 0; i < n; i++ {
-			l.replay(i)
+			l.replay(pool.sc, i)
 		}
 	}
 	return nil
@@ -664,23 +661,28 @@ func (l *Legalizer) evaluate(ctx context.Context, pool *evalPool) error {
 // Workers-1 helper goroutines (none at Workers 1) started once and torn
 // down by stop() on every return path. Per batch, each helper takes one
 // token and claims tasks through the batch cursor beside the scheduler
-// goroutine, which drains tasks too.
+// goroutine, which drains tasks too. Every worker, the scheduler
+// included, evaluates on one scratch taken from scratchPool for the
+// pool's life.
 type evalPool struct {
 	start   chan struct{} // one token per helper per batch
 	workers sync.WaitGroup
 	pending sync.WaitGroup // helpers still draining the current batch
+	sc      *scratch       // the scheduler goroutine's scratch
 }
 
 // startPool launches the helpers.
 func (l *Legalizer) startPool(ctx context.Context) *evalPool {
 	helpers := l.opt.Workers - 1
-	p := &evalPool{start: make(chan struct{}, helpers)}
+	p := &evalPool{start: make(chan struct{}, helpers), sc: scratchPool.Get()}
 	p.workers.Add(helpers)
 	for w := 0; w < helpers; w++ {
 		go func() {
 			defer p.workers.Done()
+			sc := scratchPool.Get()
+			defer scratchPool.Put(sc)
 			for range p.start {
-				l.drain(ctx)
+				l.drain(ctx, sc)
 				p.pending.Done()
 			}
 		}()
@@ -697,7 +699,7 @@ func (p *evalPool) run(ctx context.Context, l *Legalizer) {
 	for i := 0; i < cap(p.start); i++ {
 		p.start <- struct{}{}
 	}
-	l.drain(ctx)
+	l.drain(ctx, p.sc)
 	p.pending.Wait()
 }
 
@@ -707,6 +709,7 @@ func (p *evalPool) run(ctx context.Context, l *Legalizer) {
 func (p *evalPool) stop() {
 	close(p.start)
 	p.workers.Wait()
+	scratchPool.Put(p.sc)
 }
 
 // Run legalizes every movable cell (see RunContext).

@@ -45,9 +45,6 @@ type Options struct {
 	// WindowW and WindowH are the initial window half-extents in sites
 	// and rows. Zero means automatic (derived from the cell size).
 	WindowW, WindowH int
-	// GrowFactor multiplies the window extents after a failed
-	// insertion. Zero means 2.
-	GrowFactor int
 	// MaxChain bounds the number of movable cells per push chain (each
 	// side of an insertion point has one). Membership is breadth-first
 	// from the seeds, the nearest local cell on that side in each of the
@@ -106,9 +103,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.GrowFactor < 2 {
-		o.GrowFactor = 2
-	}
 	if o.MaxChain <= 0 {
 		o.MaxChain = 48
 	}

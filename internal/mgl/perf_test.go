@@ -122,7 +122,7 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	}
 	zeroAlloc := func(name string, eval func()) {
 		t.Helper()
-		// Warm up the scratch pool and the reused buffers.
+		// Warm up the scratch and the reused buffers.
 		for i := 0; i < 8; i++ {
 			eval()
 		}
@@ -135,8 +135,9 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	l := legalizer(Options{Workers: 1})
 	win := l.windowFor(tgt, 2)
 	var dst []move
+	var sc scratch
 	zeroAlloc("bestInWindow", func() {
-		if _, ok := l.bestInWindow(tgt, win, &dst); !ok {
+		if _, ok := l.bestInWindow(&sc, tgt, win, &dst); !ok {
 			t.Fatal("no feasible plan in window")
 		}
 	})
@@ -144,7 +145,6 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	lc := legalizer(Options{Workers: 1, MaxChain: 2})
 	// Some insertion point of the window must walk a capped side, which
 	// starts the breadth-first search from its seeds.
-	var sc scratch
 	sc.beginWindow(len(lc.hot.X), len(lc.grid.Segs), lc.chainCap(win))
 	cappedWalks, h := 0, int(lc.hot.H[tgt])
 	yLo, yHi, _, _ := lc.scanRange(tgt, win)
@@ -161,7 +161,7 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 		t.Fatal("no insertion point of the MaxChain 2 window walks a capped side")
 	}
 	zeroAlloc("bestInWindow with capped chains", func() {
-		if _, ok := lc.bestInWindow(tgt, win, &dst); !ok {
+		if _, ok := lc.bestInWindow(&sc, tgt, win, &dst); !ok {
 			t.Fatal("no feasible plan in window")
 		}
 	})

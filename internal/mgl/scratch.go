@@ -1,9 +1,8 @@
 package mgl
 
 import (
-	"sync"
-
 	"mclegal/internal/curve"
+	"mclegal/internal/freelist"
 	"mclegal/internal/model"
 )
 
@@ -88,6 +87,6 @@ func (s *scratch) beginPoint() {
 	}
 }
 
-// scratchPool hands out scratch buffers to concurrent window
-// evaluations.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchPool keeps the scratch buffers of the evaluation workers
+// between runs.
+var scratchPool freelist.List[scratch]

@@ -58,6 +58,7 @@ func TestSplitBatchMatchesBestInWindow(t *testing.T) {
 			}
 		}
 		rs := &l.rs
+		var sc scratch
 		for _, leg := range []struct{ prune, maxChain int }{{-1, 0}, {1, 0}, {0, 0}, {-1, 3}, {1, 3}, {0, 3}} {
 			l.opt.PruneSlackRows = Options{PruneSlackRows: leg.prune}.withDefaults().PruneSlackRows
 			l.opt.MaxChain = Options{MaxChain: leg.maxChain}.withDefaults().MaxChain
@@ -68,7 +69,7 @@ func TestSplitBatchMatchesBestInWindow(t *testing.T) {
 					for attempt := 0; attempt < 4; attempt++ {
 						win := l.windowFor(id, attempt)
 						var dst []move
-						want, wantOK := l.bestInWindow(id, win, &dst)
+						want, wantOK := l.bestInWindow(&sc, id, win, &dst)
 						rs.batch = append(rs.batch[:0], id)
 						rs.wins = append(rs.wins[:0], win)
 						split := l.Stats.SplitBatches

@@ -15,10 +15,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"mclegal/internal/faults"
+	"mclegal/internal/freelist"
 	"mclegal/internal/geom"
 	"mclegal/internal/mcf"
 	"mclegal/internal/model"
@@ -114,7 +114,7 @@ type workspace struct {
 }
 
 // workspacePool hands out workspaces to concurrent refinements.
-var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+var workspacePool freelist.List[workspace]
 
 // resize returns s with length n, reallocating only when n outgrows its
 // capacity. The contents are not cleared.
@@ -136,7 +136,7 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
-	ws := workspacePool.Get().(*workspace)
+	ws := workspacePool.Get()
 	defer workspacePool.Put(ws)
 	// Movable cell indexing.
 	ids := ws.ids[:0]

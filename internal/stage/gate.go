@@ -261,20 +261,15 @@ type gateOutcome struct {
 //mclegal:restores design.xy,stagectx every gate failure restores the XY snapshot and the artifact snapshot; hotcells, occupancy and route memos are per-run scratch rebuilt from the design (see their //mclegal:ephemeral declarations)
 func (p *Pipeline) runGated(ctx context.Context, pc *PipelineContext, s Stage, verify bool) gateOutcome {
 	snap := pc.Design.SnapshotXY()
-	arts := pc.snapshotArtifacts()
+	mglStats, maxDispStats, refineReport := pc.MGLStats, pc.MaxDispStats, pc.RefineReport
 	rollback := func() map[string]int64 {
 		var counters map[string]int64
 		if cp, ok := s.(CounterProvider); ok {
 			counters = cp.Counters(pc)
 		}
 		pc.Design.RestoreXY(snap)
-		pc.restoreArtifacts(arts)
+		pc.MGLStats, pc.MaxDispStats, pc.RefineReport = mglStats, maxDispStats, refineReport
 		return counters
-	}
-	var before eval.Metrics
-	check := p.MetricChecks[s.Name()]
-	if verify && check != nil {
-		before = eval.Measure(pc.Design)
 	}
 
 	err := pc.Faults.Err(faults.StageError(s.Name()))
@@ -314,9 +309,9 @@ func (p *Pipeline) runGated(ctx context.Context, pc *PipelineContext, s Stage, v
 			counters: counters,
 		}
 	}
-	if check != nil {
-		//mclegal:writeset metric checks are pure predicates over two eval.Metrics value copies
-		if merr := check(before, eval.Measure(pc.Design)); merr != nil {
+	if check := p.MetricChecks[s.Name()]; check != nil {
+		//mclegal:writeset metric checks are the composer's pure predicates over the stage's artifacts
+		if merr := check(); merr != nil {
 			counters := rollback()
 			return gateOutcome{err: fmt.Errorf("stage %s: %w", s.Name(), merr), reason: ReasonMetric, counters: counters}
 		}

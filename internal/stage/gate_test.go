@@ -48,7 +48,7 @@ func TestPanicIsolationWithoutGates(t *testing.T) {
 	p := Pipeline{Stages: []Stage{
 		&fakeStage{name: "boom", onRun: func(*PipelineContext) { panic("kaboom") }},
 	}}
-	_, err := p.Run(context.Background(), pc)
+	_, _, err := p.RunWithReport(context.Background(), pc)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *PanicError", err, err)
@@ -129,12 +129,13 @@ func TestMetricRegressionGate(t *testing.T) {
 		// Legal but far from GP: max displacement grows.
 		pc.Design.Cells[0].X = pc.Design.Cells[0].GX + 20
 	}}
+	before := eval.Measure(pc.Design)
 	p := Pipeline{
 		Stages: []Stage{drift},
 		Verify: true,
-		MetricChecks: map[string]func(before, after eval.Metrics) error{
-			"drift": func(before, after eval.Metrics) error {
-				if after.MaxDisp > before.MaxDisp {
+		MetricChecks: map[string]func() error{
+			"drift": func() error {
+				if eval.Measure(pc.Design).MaxDisp > before.MaxDisp {
 					return errors.New("max displacement grew")
 				}
 				return nil

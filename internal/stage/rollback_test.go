@@ -57,7 +57,7 @@ func legalizedContext(t *testing.T, seed int64) *PipelineContext {
 	t.Helper()
 	pc := freshContext(t, seed)
 	p := Pipeline{Stages: []Stage{NewMGL(mgl.Options{})}}
-	if _, err := p.Run(context.Background(), pc); err != nil {
+	if _, _, err := p.RunWithReport(context.Background(), pc); err != nil {
 		t.Fatalf("prep legalization: %v", err)
 	}
 	return pc
@@ -67,8 +67,7 @@ func legalizedContext(t *testing.T, seed int64) *PipelineContext {
 // (and a custom FuncStage) to completion under an injected illegal-move
 // fault, so the gate audits the corrupted result, rolls back, and must
 // restore everything the stage wrote: cell positions byte-for-byte and
-// the context artifacts — typed stats and the custom artifact map —
-// to their pre-stage values. The failing attempt's counters must still
+// the context's typed stats and reports to their pre-stage values. The failing attempt's counters must still
 // surface in the GateReport, since the rolled-back context no longer
 // shows them.
 func TestGateRollbackRestoresDesignAndArtifacts(t *testing.T) {
@@ -90,7 +89,7 @@ func TestGateRollbackRestoresDesignAndArtifacts(t *testing.T) {
 				StageName: "custom",
 				Fn: func(ctx context.Context, pc *PipelineContext) error {
 					pc.Design.Cells[0].X++
-					pc.PutArtifact("custom", 42)
+					pc.MaxDispStats.Swapped = 42
 					return nil
 				},
 			},
@@ -101,7 +100,6 @@ func TestGateRollbackRestoresDesignAndArtifacts(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			pc := tc.prep(t)
-			pc.PutArtifact("pre-existing", "kept")
 			pc.Faults = faults.New().Arm(faults.IllegalMove(tc.stage.Name()))
 
 			want := pc.Design.Clone()
@@ -133,12 +131,6 @@ func TestGateRollbackRestoresDesignAndArtifacts(t *testing.T) {
 			if pc.RefineReport != wantRefine {
 				t.Errorf("RefineReport not restored: %+v, want %+v", pc.RefineReport, wantRefine)
 			}
-			if v, ok := pc.Artifact("pre-existing"); !ok || v != "kept" {
-				t.Errorf("pre-existing artifact lost: %v %v", v, ok)
-			}
-			if v, ok := pc.Artifact("custom"); ok {
-				t.Errorf("failed stage's artifact survived the rollback: %v", v)
-			}
 
 			if _, ok := tc.stage.(CounterProvider); ok {
 				if len(ge.Report.Counters) == 0 {
@@ -158,7 +150,7 @@ func TestCancellationKeepsPartialArtifacts(t *testing.T) {
 	st := &FuncStage{
 		StageName: "cancelled",
 		Fn: func(ctx context.Context, pc *PipelineContext) error {
-			pc.PutArtifact("partial", 7)
+			pc.MaxDispStats.Swapped = 7
 			cancel()
 			return ctx.Err()
 		},
@@ -168,7 +160,7 @@ func TestCancellationKeepsPartialArtifacts(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if v, ok := pc.Artifact("partial"); !ok || v != 7 {
-		t.Errorf("cancelled stage's partial artifact lost: %v %v", v, ok)
+	if got := pc.MaxDispStats.Swapped; got != 7 {
+		t.Errorf("cancelled stage's partial artifact lost: Swapped = %d, want 7", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package stage is the pipeline engine behind the three-stage
 // legalization flow (paper Figure 2): a Stage interface, a shared
-// PipelineContext carrying the design and the artifacts every stage
-// accumulates, and a Pipeline runner that owns timing, context
+// PipelineContext carrying the design and the statistics every stage
+// records, and a Pipeline runner that owns timing, context
 // cancellation, error wrapping and observer notification.
 //
 // The flow package composes the built-in stages (NewMGL, NewMaxDisp,
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"mclegal/internal/eval"
 	"mclegal/internal/faults"
 	"mclegal/internal/maxdisp"
 	"mclegal/internal/mgl"
@@ -45,9 +44,8 @@ type CounterProvider interface {
 
 // PipelineContext is the state shared by all stages of one run: the
 // design being legalized, its segmentation grid, the routability
-// rules/checker (when enabled), and the artifacts accumulated per
-// stage. Artifacts of the built-in stages are typed fields; custom
-// stages can deposit arbitrary values keyed by stage name.
+// rules/checker (when enabled), and the typed artifacts of the
+// built-in stages.
 type PipelineContext struct {
 	Design *model.Design
 	Grid   *seg.Grid
@@ -68,8 +66,6 @@ type PipelineContext struct {
 	MGLStats     mgl.Stats
 	MaxDispStats maxdisp.Stats
 	RefineReport refine.Report
-
-	artifacts map[string]any
 }
 
 // NewContext builds the shared pipeline state for d: the segmentation
@@ -86,63 +82,6 @@ func NewContext(d *model.Design, routability bool) (*PipelineContext, error) {
 		pc.Rules = route.NewRules(checker)
 	}
 	return pc, nil
-}
-
-// artifactSnapshot captures the per-stage artifact state of a
-// PipelineContext — the typed built-in artifacts by value and the
-// custom-artifact map by key — so a gate can roll a failed stage's
-// context writes back alongside its position writes. Custom artifact
-// values are restored by reference: a stage that mutates a value it
-// deposited in an earlier run owns that aliasing.
-type artifactSnapshot struct {
-	mglStats     mgl.Stats
-	maxDispStats maxdisp.Stats
-	refineReport refine.Report
-	artifacts    map[string]any
-}
-
-// snapshotArtifacts copies the context's artifact state for a later
-// restoreArtifacts. The typed artifacts are plain value structs; the
-// custom map is copied shallowly.
-func (pc *PipelineContext) snapshotArtifacts() artifactSnapshot {
-	snap := artifactSnapshot{
-		mglStats:     pc.MGLStats,
-		maxDispStats: pc.MaxDispStats,
-		refineReport: pc.RefineReport,
-	}
-	if pc.artifacts != nil {
-		snap.artifacts = make(map[string]any, len(pc.artifacts))
-		//mclegal:ordered map-to-map copy; the snapshot's insertion order is never observed
-		for k, v := range pc.artifacts {
-			snap.artifacts[k] = v
-		}
-	}
-	return snap
-}
-
-// restoreArtifacts rolls the context's artifact state back to a
-// snapshot taken before a failed stage ran.
-func (pc *PipelineContext) restoreArtifacts(snap artifactSnapshot) {
-	pc.MGLStats = snap.mglStats
-	pc.MaxDispStats = snap.maxDispStats
-	pc.RefineReport = snap.refineReport
-	pc.artifacts = snap.artifacts
-}
-
-// PutArtifact stores a custom stage's output under its name.
-//
-//mclegal:writes stagectx custom stages deposit their outputs on the shared context by design
-func (pc *PipelineContext) PutArtifact(stage string, v any) {
-	if pc.artifacts == nil {
-		pc.artifacts = make(map[string]any)
-	}
-	pc.artifacts[stage] = v
-}
-
-// Artifact returns the output a custom stage stored under its name.
-func (pc *PipelineContext) Artifact(stage string) (any, bool) {
-	v, ok := pc.artifacts[stage]
-	return v, ok
 }
 
 // Timing is the measured duration of one executed stage.
@@ -172,23 +111,17 @@ type Pipeline struct {
 	// gated) after the primary failed and was rolled back.
 	Fallbacks map[string]Stage
 	// MetricChecks maps a stage name to its metric-regression
-	// predicate, evaluated by the gate when Verify is on.
-	MetricChecks map[string]func(before, after eval.Metrics) error
+	// predicate, evaluated by the gate after the stage's audit when
+	// Verify is on. A check reads what it needs from the context its
+	// composer bound it to.
+	MetricChecks map[string]func() error
 }
 
-// Run executes the stages in order. It returns the timing of every
-// stage that started — including a failed or cancelled one — so a
-// partial run remains attributable; the error is wrapped with the
-// failing stage's name.
-//
-//mclegal:writes design.xy,hotcells,occupancy,routememo,stagectx the pipeline mutates exactly what its stages mutate: positions, artifacts, and the per-run scratch views
-func (p *Pipeline) Run(ctx context.Context, pc *PipelineContext) ([]Timing, error) {
-	timings, _, err := p.RunWithReport(ctx, pc)
-	return timings, err
-}
-
-// RunWithReport is Run plus the resilience layer's RunReport: the
-// run's trust status and every gate intervention. Without gates
+// RunWithReport executes the stages in order. It returns the timing
+// of every stage that started — including a failed or cancelled one —
+// so a partial run remains attributable, and the resilience layer's
+// RunReport: the run's trust status and every gate intervention. An
+// ungated failure is wrapped with the stage's name. Without gates
 // (Verify off, strict recovery) stages still run under panic
 // isolation, so a panicking stage fails the run with a *PanicError
 // instead of crashing the process.

@@ -70,7 +70,7 @@ func TestPipelineRunsStagesInOrder(t *testing.T) {
 		return &fakeStage{name: name, onRun: func(*PipelineContext) { order = append(order, name) }}
 	}
 	p := Pipeline{Stages: []Stage{mk("a"), mk("b"), mk("c")}}
-	timings, err := p.Run(context.Background(), pc)
+	timings, _, err := p.RunWithReport(context.Background(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPipelineWrapsErrorAndKeepsTimings(t *testing.T) {
 		&fakeStage{name: "bad", err: boom},
 		last,
 	}}
-	timings, err := p.Run(context.Background(), pc)
+	timings, _, err := p.RunWithReport(context.Background(), pc)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -115,7 +115,7 @@ func TestCancelBetweenStages(t *testing.T) {
 		&fakeStage{name: "first", onRun: func(*PipelineContext) { cancel() }},
 		second,
 	}}
-	timings, err := p.Run(ctx, pc)
+	timings, _, err := p.RunWithReport(ctx, pc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -139,7 +139,7 @@ func TestObserverReceivesEvents(t *testing.T) {
 		},
 		Observer: rec,
 	}
-	if _, err := p.Run(context.Background(), pc); !errors.Is(err, boom) {
+	if _, _, err := p.RunWithReport(context.Background(), pc); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
 	if len(rec.starts) != 2 || len(rec.finishes) != 2 {
@@ -163,24 +163,6 @@ func TestObserverReceivesEvents(t *testing.T) {
 	}
 }
 
-func TestArtifacts(t *testing.T) {
-	pc := smallContext(t)
-	st := &fakeStage{name: "custom", onRun: func(pc *PipelineContext) {
-		pc.PutArtifact("custom", 42)
-	}}
-	p := Pipeline{Stages: []Stage{st}}
-	if _, err := p.Run(context.Background(), pc); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := pc.Artifact("custom")
-	if !ok || v.(int) != 42 {
-		t.Errorf("artifact = %v %v", v, ok)
-	}
-	if _, ok := pc.Artifact("missing"); ok {
-		t.Error("missing artifact found")
-	}
-}
-
 // The three real stages compose into the paper's full pipeline and
 // populate the typed artifacts.
 func TestRealStagesEndToEnd(t *testing.T) {
@@ -200,7 +182,7 @@ func TestRealStagesEndToEnd(t *testing.T) {
 		NewMaxDisp(maxdisp.Options{}),
 		NewRefine(refine.Options{Weights: refine.WeightHeightAverage, MaxDispWeight: 10}, true),
 	}}
-	timings, err := p.Run(context.Background(), pc)
+	timings, _, err := p.RunWithReport(context.Background(), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
