@@ -65,7 +65,8 @@ race:
 # (so the pooled witnesses skip under -race, and `race` cannot enforce
 # them): MGL's window evaluation, the simplex and the matching solver
 # at 0 allocs per reused call, refine and maxdisp at 0 per run on a
-# warm pool, and bmark.Read in proportion to the design's objects.
+# warm pool, eval.Audit and route.(*Checker).Count at 1 per call (the
+# row-slot list), and bmark.Read in proportion to the design's objects.
 # The pattern must keep matching every one of them (the witnesses are
 # named *ZeroAlloc, the gates *Allocs*). `check` runs it.
 allocs:

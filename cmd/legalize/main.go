@@ -172,8 +172,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.Violations.Pin(), res.Violations.PinShort, res.Violations.PinAccess)
 	fmt.Fprintf(stdout, "edge violations  %d\n", res.Violations.EdgeSpacing)
 	fmt.Fprintf(stdout, "contest score    %.4f\n", res.Score)
-	fmt.Fprintf(stdout, "runtime          %v (MGL %v, matching %v, refine %v)\n",
-		res.Total, res.MGLTime, res.MaxDispTime, res.RefineTime)
+	fmt.Fprintf(stdout, "runtime          %v\n", res.Total)
+	for _, tm := range res.Timings {
+		fmt.Fprintf(stdout, "  %-14s %v\n", tm.Stage, tm.Duration)
+	}
 
 	if *out != "" {
 		g, err := os.Create(*out)

@@ -68,6 +68,8 @@ func main() {
 	}
 	fmt.Printf("\naverage displacement (rows): %.3f\n", res.Metrics.AvgDisp)
 	fmt.Printf("maximum displacement (rows): %.3f\n", res.Metrics.MaxDisp)
-	fmt.Printf("runtime: MGL %v, matching %v, refine %v\n",
-		res.MGLTime, res.MaxDispTime, res.RefineTime)
+	fmt.Printf("runtime: %v\n", res.Total)
+	for _, tm := range res.Timings {
+		fmt.Printf("  %-8s %v\n", tm.Stage, tm.Duration)
+	}
 }

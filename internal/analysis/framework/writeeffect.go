@@ -559,8 +559,8 @@ func (c *writeCtx) recordRange(st *ast.RangeStmt, changed *bool) {
 }
 
 // trackedSourcesIn collects the tracked field objects an expression
-// reads through, so locals aliasing tracked storage (memo :=
-// r.rowMemo) attribute their writes to the source field.
+// reads through, so locals aliasing tracked storage (cells :=
+// d.Cells) attribute their writes to the source field.
 func (c *writeCtx) trackedSourcesIn(rhs ast.Expr) []*types.Var {
 	var out []*types.Var
 	ast.Inspect(rhs, func(nd ast.Node) bool {

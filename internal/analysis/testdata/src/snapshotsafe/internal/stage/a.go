@@ -38,7 +38,7 @@ func runGated(s Stage, pc *PipelineContext) error {
 
 // bareGate restores everything but never says why.
 //
-//mclegal:restores design.xy,design.meta,stagectx,hotcells,grid,occupancy,routememo
+//mclegal:restores design.xy,design.meta,stagectx,hotcells,grid,occupancy
 func bareGate(s Stage, pc *PipelineContext) error { // want "missing a justification"
 	return s.Run(pc)
 }

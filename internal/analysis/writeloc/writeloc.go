@@ -14,7 +14,6 @@
 //	hotcells   — the model.HotCells SoA coordinate mirror
 //	grid       — the seg.Grid/seg.Segment row segmentation
 //	occupancy  — the MGL legalizer's per-run occupancy index
-//	routememo  — route.Rules/route.Checker memo and rail state
 //	stagectx   — stage.PipelineContext fields (stats, reports)
 //
 // Package paths are matched by suffix (framework.PathMatchesAny), so
@@ -56,8 +55,6 @@ var specs = []locSpec{
 	{"internal/seg", "Grid", map[string][]string{"": {"grid"}}},
 	{"internal/seg", "Segment", map[string][]string{"": {"grid"}}},
 	{"internal/mgl", "occupancy", map[string][]string{"": {"occupancy"}}},
-	{"internal/route", "Rules", map[string][]string{"": {"routememo"}}},
-	{"internal/route", "Checker", map[string][]string{"": {"routememo"}}},
 	{"internal/stage", "PipelineContext", map[string][]string{"": {"stagectx"}}},
 }
 
@@ -442,7 +439,7 @@ type Ephemeral struct {
 	Locs   []string
 	Pos    token.Pos
 	Reason string
-	What   string // "type mgl.occupancy" / "field route.Rules.rowMemo"
+	What   string // "type mgl.occupancy" / "field <pkg>.<field>"
 }
 
 // Ephemerals scans the tracked types' declarations (and their fields)

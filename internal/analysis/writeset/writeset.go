@@ -2,8 +2,8 @@
 // declared, machine-checked contract: every exported entrypoint of the
 // scope.DeterministicCore packages must have a provable write set over
 // the resident-state vocabulary of internal/analysis/writeloc
-// (design.xy, design.meta, hotcells, grid, occupancy, routememo,
-// stagectx), and must declare it in its doc comment:
+// (design.xy, design.meta, hotcells, grid, occupancy, stagectx), and
+// must declare it in its doc comment:
 //
 //	//mclegal:writes design.xy,hotcells why the function moves cells
 //

@@ -7,9 +7,7 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"mclegal/internal/geom"
 	"mclegal/internal/model"
 	"mclegal/internal/seg"
 )
@@ -33,13 +31,6 @@ func Audit(d *model.Design, grid *seg.Grid) []Violation {
 		out = append(out, Violation{Cell: c, Other: o, Kind: kind, Msg: fmt.Sprintf(format, args...)})
 	}
 	core := d.Tech.CoreRect()
-	type rowEntry struct {
-		id model.CellID
-		x  geom.Interval
-	}
-	// Each row's cells go into one flat slice: counted here, placed
-	// below in index order (a counting sort), then sorted by x per row.
-	rowEnd := make([]int, d.Tech.NumRows)
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		if c.Fixed {
@@ -58,42 +49,18 @@ func Audit(d *model.Design, grid *seg.Grid) []Violation {
 		if !grid.SpanOK(c.Fence, c.X, c.Y, ct.Width, ct.Height) {
 			add(id, -1, "fence", "rect %v not inside fence-%d segments", r, c.Fence)
 		}
-		for y := r.YLo; y < r.YHi; y++ {
-			rowEnd[y]++
-		}
 	}
-	total := 0
-	for y, n := range rowEnd {
-		rowEnd[y] = total // row y's start; the fill below advances it to its end
-		total += n
-	}
-	entries := make([]rowEntry, total)
-	for i := range d.Cells {
-		id := model.CellID(i)
-		r := d.CellRect(id)
-		if d.Cells[i].Fixed || !core.Contains(r) {
+	s := d.RowSlots(nil)
+	for p := 1; p < len(s); p++ {
+		if s[p-1].Row != s[p].Row {
 			continue
 		}
-		for y := r.YLo; y < r.YHi; y++ {
-			entries[rowEnd[y]] = rowEntry{id: id, x: r.XIv()}
-			rowEnd[y]++
-		}
-	}
-	start := 0
-	for y, end := range rowEnd {
-		es := entries[start:end]
-		start = end
-		sort.Slice(es, func(a, b int) bool { return es[a].x.Lo < es[b].x.Lo })
-		for k := 1; k < len(es); k++ {
-			if es[k-1].x.Overlaps(es[k].x) {
-				// Report each overlapping pair once (on the bottom-most
-				// shared row).
-				a, b := es[k-1].id, es[k].id
-				ra, rb := d.CellRect(a), d.CellRect(b)
-				if y == max(ra.YLo, rb.YLo) {
-					add(a, b, "overlap", "cells %d%v and %d%v overlap in row %d", a, ra, b, rb, y)
-				}
-			}
+		a, b := s[p-1].Cell, s[p].Cell
+		ra, rb := d.CellRect(a), d.CellRect(b)
+		// Report each overlapping pair once, on the lowest row in
+		// which the two are neighbours.
+		if ra.XIv().Overlaps(rb.XIv()) && d.FirstMeeting(s, p) {
+			add(a, b, "overlap", "cells %d%v and %d%v overlap in row %d", a, ra, b, rb, s[p].Row)
 		}
 	}
 	return out

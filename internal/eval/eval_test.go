@@ -181,3 +181,28 @@ func TestScore(t *testing.T) {
 		t.Errorf("zero score = %v", got)
 	}
 }
+
+// Two double-row cells overlapping on both rows, with a single-row cell
+// sorting between them on the lower row, are neighbours on the upper
+// row only: the pair is still reported, once.
+func TestAuditOverlapOnUpperSharedRow(t *testing.T) {
+	d := design()
+	a := add(d, 1, 10, 2, 10, 2) // rows 2,3, sites [10,13)
+	b := add(d, 1, 11, 2, 11, 2) // rows 2,3, sites [11,14)
+	c := add(d, 0, 10, 2, 10, 2) // row 2, sites [10,12): after a, before b
+	pairs := map[[2]model.CellID]int{}
+	for _, v := range Audit(d, grid(t, d)) {
+		if v.Kind == "overlap" {
+			pairs[[2]model.CellID{v.Cell, v.Other}]++
+		}
+	}
+	want := map[[2]model.CellID]int{{a, c}: 1, {c, b}: 1, {a, b}: 1}
+	if len(pairs) != len(want) {
+		t.Fatalf("overlap pairs = %v, want %v", pairs, want)
+	}
+	for p, n := range want {
+		if pairs[p] != n {
+			t.Errorf("pair %v reported %d times, want %d", p, pairs[p], n)
+		}
+	}
+}

@@ -182,8 +182,7 @@ type Result struct {
 	HPWLAfter  int64
 	Score      float64
 
-	MGLTime, MaxDispTime, RefineTime time.Duration
-	Total                            time.Duration
+	Total time.Duration
 
 	// Timings lists every stage that started, in execution order —
 	// including a failed or cancelled one.
@@ -261,7 +260,7 @@ func Stages(d *model.Design, opt Options) []stage.Stage {
 
 // Run legalizes d in place and returns the evaluation of the result.
 //
-//mclegal:writes design.meta,design.xy,hotcells,occupancy,routememo,stagectx the flow runs the full pipeline: stages write positions, artifacts and scratch views, and sharding splits/merges the design's cell tables
+//mclegal:writes design.meta,design.xy,hotcells,occupancy,stagectx the flow runs the full pipeline: stages write positions, artifacts and scratch views, and sharding splits/merges the design's cell tables
 func Run(d *model.Design, opt Options) (Result, error) {
 	return RunContext(context.Background(), d, opt)
 }
@@ -274,7 +273,7 @@ func Run(d *model.Design, opt Options) (Result, error) {
 // the failure — per-stage timings and the artifacts of completed and
 // partially-run stages — so operators can see where the time went.
 //
-//mclegal:writes design.meta,design.xy,hotcells,occupancy,routememo,stagectx the flow runs the full pipeline: stages write positions, artifacts and scratch views, and sharding splits/merges the design's cell tables
+//mclegal:writes design.meta,design.xy,hotcells,occupancy,stagectx the flow runs the full pipeline: stages write positions, artifacts and scratch views, and sharding splits/merges the design's cell tables
 func RunContext(ctx context.Context, d *model.Design, opt Options) (Result, error) {
 	var res Result
 	if err := opt.Validate(); err != nil {
@@ -287,23 +286,11 @@ func RunContext(ctx context.Context, d *model.Design, opt Options) (Result, erro
 	start := time.Now()
 	res.HPWLBefore = eval.HPWL(d)
 
-	var checker *route.Checker
 	var perr error
 	if opt.Shards > 0 {
-		checker, perr = runSharded(ctx, d, opt, &res)
+		perr = runSharded(ctx, d, opt, &res)
 	} else {
-		checker, perr = runMonolithic(ctx, d, opt, &res)
-	}
-
-	for _, tm := range res.Timings {
-		switch stageBase(tm.Stage) {
-		case stage.NameMGL:
-			res.MGLTime += tm.Duration
-		case stage.NameMaxDisp:
-			res.MaxDispTime += tm.Duration
-		case stage.NameRefine:
-			res.RefineTime += tm.Duration
-		}
+		perr = runMonolithic(ctx, d, opt, &res)
 	}
 	//mclegal:wallclock total-runtime reporting only, never influences placement
 	res.Total = time.Since(start)
@@ -316,30 +303,9 @@ func RunContext(ctx context.Context, d *model.Design, opt Options) (Result, erro
 		}
 		return res, fmt.Errorf("flow: %w", perr)
 	}
-
-	res.Metrics = eval.Measure(d)
-	res.Violations = checker.Count()
-	res.HPWLAfter = eval.HPWL(d)
-	res.Score = eval.Score(eval.ScoreInput{
-		Metrics:        res.Metrics,
-		HPWLBefore:     res.HPWLBefore,
-		HPWLAfter:      res.HPWLAfter,
-		PinViolations:  res.Violations.Pin(),
-		EdgeViolations: res.Violations.EdgeSpacing,
-		Cells:          d.MovableCount(),
-	})
+	ev := Evaluate(d, res.HPWLBefore)
+	res.Metrics, res.Violations, res.HPWLAfter, res.Score = ev.Metrics, ev.Violations, ev.HPWLAfter, ev.Score
 	return res, nil
-}
-
-// stageBase strips the "shard/" prefix a sharded run puts on stage
-// names, so per-stage time accounting works on both paths.
-func stageBase(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			return name[i+1:]
-		}
-	}
-	return name
 }
 
 // buildPipeline assembles the gated stage pipeline legalizing pc's
@@ -385,10 +351,10 @@ func buildPipeline(pc *stage.PipelineContext, opt Options) stage.Pipeline {
 }
 
 // runMonolithic is the classic single-pipeline path.
-func runMonolithic(ctx context.Context, d *model.Design, opt Options, res *Result) (*route.Checker, error) {
+func runMonolithic(ctx context.Context, d *model.Design, opt Options, res *Result) error {
 	pc, err := stage.NewContext(d, opt.Routability)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pc.Faults = opt.Faults
 
@@ -403,23 +369,23 @@ func runMonolithic(ctx context.Context, d *model.Design, opt Options, res *Resul
 	res.Timings = timings
 	res.Status = report.Status
 	res.Gates = report.Gates
-	return pc.Checker, perr
+	return perr
 }
 
 // runSharded decomposes d into the shard plan's regions, legalizes
 // every region's subdesign through its own full pipeline (at most
 // opt.Shards concurrently), and merges the disjoint placements back.
-func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) (*route.Checker, error) {
+func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) error {
 	grid, err := seg.Build(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	plan := shard.BuildPlan(d, grid, opt.ShardPlan)
 	shards := make([]stage.Shard, len(plan.Regions))
 	for i, r := range plan.Regions {
 		sub, err := model.NewSubdesign(d, r.Name, r.Cells, r.Blockages)
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", r.Name, err)
+			return fmt.Errorf("shard %s: %w", r.Name, err)
 		}
 		shards[i] = stage.Shard{Name: r.Name, Sub: sub, Index: i}
 	}
@@ -489,7 +455,7 @@ func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) 
 		}
 		res.Shards = append(res.Shards, out)
 	}
-	return route.NewChecker(d), perr
+	return perr
 }
 
 // Evaluate scores an already-legalized design (used for baselines),

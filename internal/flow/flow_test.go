@@ -37,8 +37,8 @@ func TestFullPipeline(t *testing.T) {
 	if res.RefineReport.Nodes == 0 {
 		t.Errorf("refine did not run")
 	}
-	if res.MGLTime <= 0 || res.Total <= 0 {
-		t.Errorf("timings not recorded")
+	if len(res.Timings) == 0 || res.Timings[0].Duration <= 0 || res.Total <= 0 {
+		t.Errorf("timings not recorded: %+v, total %v", res.Timings, res.Total)
 	}
 }
 

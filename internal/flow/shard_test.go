@@ -120,9 +120,6 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 	if res.MGLStats != sum {
 		t.Errorf("aggregated MGL stats %+v, per-shard sum %+v", res.MGLStats, sum)
 	}
-	if res.MGLTime == 0 {
-		t.Error("MGLTime not accumulated from prefixed timings")
-	}
 	for _, tm := range res.Timings {
 		if !strings.Contains(tm.Stage, "/") {
 			t.Errorf("timing %q lacks a shard prefix", tm.Stage)

@@ -714,7 +714,7 @@ func (p *evalPool) stop() {
 
 // Run legalizes every movable cell (see RunContext).
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo MGL commits legal positions through both the design and its hot view, maintains the occupancy index, and warms the route-rule memo
+//mclegal:writes design.xy,hotcells,occupancy MGL commits legal positions through both the design and its hot view and maintains the occupancy index
 func (l *Legalizer) Run() error { return l.RunContext(context.Background()) }
 
 // RunContext legalizes every movable cell using the deterministic
@@ -731,7 +731,7 @@ func (l *Legalizer) Run() error { return l.RunContext(context.Background()) }
 // the remainder stay at their GP positions, so the design remains
 // consistent and auditable (though not legal).
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo MGL commits legal positions through both the design and its hot view, maintains the occupancy index, and warms the route-rule memo
+//mclegal:writes design.xy,hotcells,occupancy MGL commits legal positions through both the design and its hot view and maintains the occupancy index
 func (l *Legalizer) RunContext(ctx context.Context) error {
 	queue := l.Order()
 	rs := &l.rs
@@ -819,7 +819,7 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 
 // Legalize builds the segmentation of d and runs MGL with opt.
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo MGL commits legal positions through both the design and its hot view, maintains the occupancy index, and warms the route-rule memo
+//mclegal:writes design.xy,hotcells,occupancy MGL commits legal positions through both the design and its hot view and maintains the occupancy index
 func Legalize(d *model.Design, opt Options) (*Legalizer, error) {
 	return LegalizeContext(context.Background(), d, opt)
 }
@@ -827,7 +827,7 @@ func Legalize(d *model.Design, opt Options) (*Legalizer, error) {
 // LegalizeContext builds the segmentation of d and runs MGL with opt
 // under ctx.
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo MGL commits legal positions through both the design and its hot view, maintains the occupancy index, and warms the route-rule memo
+//mclegal:writes design.xy,hotcells,occupancy MGL commits legal positions through both the design and its hot view and maintains the occupancy index
 func LegalizeContext(ctx context.Context, d *model.Design, opt Options) (*Legalizer, error) {
 	grid, err := seg.Build(d)
 	if err != nil {

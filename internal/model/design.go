@@ -172,8 +172,9 @@ func (d *Design) RestoreXY(xy []geom.Pt) {
 }
 
 // Validate reports the first structural inconsistency in the design
-// (bad references, malformed fences, out-of-core fixed cells). It does
-// not check placement legality; that is eval.Audit's job.
+// (bad references, malformed fences, fixed cells assigned to a fence).
+// It does not check placement, inside the core or out of it; that is
+// eval.Audit's job.
 func (d *Design) Validate() error {
 	if err := d.Tech.Validate(); err != nil {
 		return err

@@ -93,9 +93,6 @@ type edge struct {
 	gap  int64
 }
 
-// slot is movable cell k's place in row r, at x.
-type slot struct{ r, x, k int }
-
 // workspace is one refinement's working storage: the flow network, the
 // simplex solver used when Options.Solver is nil, and the per-cell
 // arrays. Runs take it from workspacePool, so a run reuses what an
@@ -105,11 +102,12 @@ type workspace struct {
 	g         mcf.Graph
 	sv        mcf.Solver
 	ids       []model.CellID
+	pos       []int
 	weights   []int64
 	lo, hi    []int64
 	dy        []int64
 	perHeight []int // movable cells per height
-	slots     []slot
+	slots     []model.RowSlot
 	edges     []edge
 }
 
@@ -138,14 +136,19 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 	}
 	ws := workspacePool.Get()
 	defer workspacePool.Put(ws)
-	// Movable cell indexing.
-	ids := ws.ids[:0]
+	// Movable cell indexing: ids[k] is movable cell k, and pos[ids[k]]
+	// is k. The length is taken first because the write-effect analysis
+	// takes resize's result to alias every argument, len(d.Cells)'s
+	// design included.
+	n := len(d.Cells)
+	ids, pos := ws.ids[:0], resize(ws.pos, n)
 	for i := range d.Cells {
 		if !d.Cells[i].Fixed {
+			pos[i] = len(ids)
 			ids = append(ids, model.CellID(i))
 		}
 	}
-	ws.ids = ids
+	ws.ids, ws.pos = ids, pos
 	m := len(ids)
 	if m == 0 {
 		return rep, nil
@@ -181,54 +184,35 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 
 	// Neighbor constraints E: consecutive movable cells per row, with
 	// the gap inflated by the edge-spacing rule (the paper's "filler"
-	// treatment). One sort of every cell's (row, x, index) slots orders
-	// all rows at once.
-	slots := ws.slots[:0]
-	for k, id := range ids {
-		c := &d.Cells[id]
-		for r := c.Y; r < c.Y+d.Types[c.Type].Height; r++ {
-			slots = append(slots, slot{r: r, x: c.X, k: k})
-		}
-	}
+	// treatment).
+	slots := d.RowSlots(ws.slots)
 	ws.slots = slots
-	slices.SortFunc(slots, func(a, b slot) int {
-		if a.r != b.r {
-			return cmp.Compare(a.r, b.r)
-		}
-		if a.x != b.x {
-			return cmp.Compare(a.x, b.x)
-		}
-		return cmp.Compare(a.k, b.k)
-	})
 	edges := ws.edges[:0]
 	for p := 1; p < len(slots); p++ {
-		r, i, j := slots[p].r, slots[p-1].k, slots[p].k
-		if slots[p-1].r != r {
+		a, b := slots[p-1], slots[p]
+		if a.Row != b.Row {
 			continue
 		}
-		ci, cj := &d.Cells[ids[i]], &d.Cells[ids[j]]
+		ci, cj := &d.Cells[a.Cell], &d.Cells[b.Cell]
 		// Only cells in the same segment constrain each other; a
 		// blockage between them is encoded in their ranges.
-		si, okI := grid.At(r, ci.X)
-		sj, okJ := grid.At(r, cj.X)
+		si, okI := grid.At(a.Row, ci.X)
+		sj, okJ := grid.At(a.Row, cj.X)
 		if !okI || !okJ || si.ID != sj.ID {
 			continue
 		}
 		ti, tj := &d.Types[ci.Type], &d.Types[cj.Type]
 		gap := int64(ti.Width) + int64(d.Tech.Spacing(ti.EdgeR, tj.EdgeL))
-		edges = append(edges, edge{i: i, j: j, gap: gap})
+		edges = append(edges, edge{i: pos[a.Cell], j: pos[b.Cell], gap: gap})
 	}
-	// A pair of multi-row cells meets once per shared row: order the
-	// constraints by (i, j), largest gap first, and keep the first of
-	// each pair, so the list is sorted by (i, j) and deterministic.
+	// A pair of multi-row cells meets once per shared row, with the
+	// same gap each time: order the constraints by (i, j) and keep one
+	// of each pair, so the list is sorted and deterministic.
 	slices.SortFunc(edges, func(a, b edge) int {
 		if a.i != b.i {
 			return cmp.Compare(a.i, b.i)
 		}
-		if a.j != b.j {
-			return cmp.Compare(a.j, b.j)
-		}
-		return cmp.Compare(b.gap, a.gap)
+		return cmp.Compare(a.j, b.j)
 	})
 	edges = slices.CompactFunc(edges, func(a, b edge) bool { return a.i == b.i && a.j == b.j })
 	ws.edges = edges
@@ -246,7 +230,7 @@ func OptimizeContext(ctx context.Context, d *model.Design, grid *seg.Grid, opt O
 		}
 		l, r := int64(span.Lo), int64(span.Hi-ct.Width)
 		if opt.Ranges != nil {
-			//mclegal:writeset the only wired provider is route.Rules.RangeProvider, a per-cell interval lookup whose rail-memo writes are declared ephemeral on the memo field
+			//mclegal:writeset the only wired provider is route.Rules.RangeProvider, a per-cell interval lookup that writes nothing
 			if rl, rh, ok := opt.Ranges(id); ok {
 				if int64(rl) > l {
 					l = int64(rl)

@@ -14,8 +14,6 @@
 package route
 
 import (
-	"sort"
-
 	"mclegal/internal/geom"
 	"mclegal/internal/model"
 )
@@ -196,19 +194,13 @@ type Violations struct {
 func (v Violations) Pin() int { return v.PinShort + v.PinAccess }
 
 // Count audits the whole placement: every movable cell's pins against
-// rails and IO pins, and every adjacent cell pair against the
-// edge-spacing table. Each pin contributes at most one short and one
-// access violation.
+// rails and IO pins, and every pair of neighbours in a core row against
+// the edge-spacing table. Each pin contributes at most one short and one
+// access violation, and each pair at most one spacing violation, however
+// many rows it shares.
 func (c *Checker) Count() Violations {
 	var v Violations
 	d := c.d
-	type entry struct {
-		id model.CellID
-		x  geom.Interval
-	}
-	// Each row's cells go into one flat slice: counted here, placed
-	// below in index order (a counting sort), then sorted by x per row.
-	rowEnd := make([]int, d.Tech.NumRows)
 	for i := range d.Cells {
 		cell := &d.Cells[i]
 		if cell.Fixed {
@@ -224,55 +216,21 @@ func (c *Checker) Count() Violations {
 				v.PinAccess++
 			}
 		}
-		for y := cell.Y; y < cell.Y+d.Types[ct].Height; y++ {
-			rowEnd[y]++
-		}
 	}
 	if len(d.Tech.EdgeSpacing) == 0 {
 		return v
 	}
-	total := 0
-	for y, n := range rowEnd {
-		rowEnd[y] = total // row y's start; the fill below advances it to its end
-		total += n
-	}
-	entries := make([]entry, total)
-	for i := range d.Cells {
-		if d.Cells[i].Fixed {
+	s := d.RowSlots(nil)
+	for p := 1; p < len(s); p++ {
+		a, b := s[p-1], s[p]
+		if a.Row != b.Row {
 			continue
 		}
-		r := d.CellRect(model.CellID(i))
-		for y := r.YLo; y < r.YHi; y++ {
-			entries[rowEnd[y]] = entry{id: model.CellID(i), x: r.XIv()}
-			rowEnd[y]++
-		}
-	}
-	start := 0
-	for y, end := range rowEnd {
-		es := entries[start:end]
-		start = end
-		sort.Slice(es, func(a, b int) bool { return es[a].x.Lo < es[b].x.Lo })
-		for k := 1; k < len(es); k++ {
-			a, b := es[k-1], es[k]
-			ca, cb := &d.Cells[a.id], &d.Cells[b.id]
-			need := d.Tech.Spacing(d.Types[ca.Type].EdgeR, d.Types[cb.Type].EdgeL)
-			if need == 0 || b.x.Lo-a.x.Hi >= need {
-				continue
-			}
-			// Count each violating pair once, on the bottom-most
-			// shared row.
-			ra, rb := d.CellRect(a.id), d.CellRect(b.id)
-			if y == maxInt(ra.YLo, rb.YLo) {
-				v.EdgeSpacing++
-			}
+		ta, tb := d.Type(a.Cell), d.Type(b.Cell)
+		need := d.Tech.Spacing(ta.EdgeR, tb.EdgeL)
+		if need > 0 && b.X-(a.X+ta.Width) < need && d.FirstMeeting(s, p) {
+			v.EdgeSpacing++
 		}
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"mclegal/internal/geom"
 	"mclegal/internal/model"
@@ -166,6 +168,9 @@ func TestCountViolations(t *testing.T) {
 		model.Cell{Name: "d", Type: 2, X: 50, Y: 4, GX: 50, GY: 4},
 		// LOWPIN on an odd row: clean.
 		model.Cell{Name: "e", Type: 1, X: 60, Y: 5, GX: 60, GY: 5},
+		// CLEAN above the core rows: no row neighbours, so no edge
+		// violation (and no row index past the core).
+		model.Cell{Name: "f", Type: 0, X: 28, Y: d.Tech.NumRows + 3, GX: 28, GY: 3},
 	)
 	v := NewChecker(d).Count()
 	if v.PinShort != 1 || v.PinAccess != 1 || v.EdgeSpacing != 1 {
@@ -190,9 +195,22 @@ func TestRulesRowForbidden(t *testing.T) {
 	if r.RowForbidden(0, 0) || r.RowForbidden(0, 1) {
 		t.Errorf("CLEAN forbidden somewhere")
 	}
-	// Memo consistency on repeat queries.
+	// Rows of one rail phase share an answer.
 	if !r.RowForbidden(1, 2) {
-		t.Errorf("memoized answer wrong")
+		t.Errorf("LOWPIN allowed on row 2, the phase of row 0")
+	}
+}
+
+// A rail period longer than the core leaves one rail on the core's
+// bottom edge: only row 0 is forbidden.
+func TestRulesRailPeriodPastCore(t *testing.T) {
+	d := railDesign()
+	d.Tech.HRailPeriod = d.Tech.NumRows + 4
+	r := NewRules(NewChecker(d))
+	for y := 0; y < d.Tech.NumRows; y++ {
+		if got := r.RowForbidden(1, y); got != (y == 0) {
+			t.Errorf("LOWPIN on row %d: forbidden = %v", y, got)
+		}
 	}
 }
 
@@ -248,5 +266,111 @@ func TestRangeProvider(t *testing.T) {
 	d.Cells[0].X = 9
 	if _, _, ok := r.RangeProvider(grid)(0); ok {
 		t.Errorf("provider should decline on a violating position")
+	}
+}
+
+// Two 2-row cells that are neighbours only on their upper row, a
+// 1-wide cell sitting between them on the lower one, are one
+// violating pair when they stand 1 site apart under a 2-site rule.
+func TestCountPairOnUpperSharedRow(t *testing.T) {
+	d := &model.Design{
+		Name: "upper",
+		Tech: model.Tech{
+			SiteW: 10, RowH: 80, NumSites: 40, NumRows: 4,
+			EdgeSpacing: [][]int{{0, 0}, {0, 2}},
+		},
+		Types: []model.CellType{
+			{Name: "TALL", Width: 4, Height: 2, EdgeL: 1, EdgeR: 1},
+			{Name: "THIN", Width: 1, Height: 1},
+		},
+		Cells: []model.Cell{
+			{Name: "a", Type: 0, X: 10, Y: 0, GX: 10, GY: 0},
+			{Name: "b", Type: 0, X: 15, Y: 0, GX: 15, GY: 0},
+			{Name: "c", Type: 1, X: 14, Y: 0, GX: 14, GY: 0},
+		},
+	}
+	if v := NewChecker(d).Count(); v.EdgeSpacing != 1 {
+		t.Errorf("edge violations = %d, want 1", v.EdgeSpacing)
+	}
+}
+
+// randomPlacement scatters a few cells of random multi-row types over a
+// small core and a little past it, overlaps and fixed cells included,
+// under a random edge-spacing table.
+func randomPlacement(rng *rand.Rand) *model.Design {
+	const edges = 3
+	d := &model.Design{Name: "q", Tech: model.Tech{SiteW: 10, RowH: 80, NumSites: 20, NumRows: 6}}
+	d.Tech.EdgeSpacing = make([][]int, edges)
+	for i := range d.Tech.EdgeSpacing {
+		d.Tech.EdgeSpacing[i] = make([]int, edges)
+		for j := range d.Tech.EdgeSpacing[i] {
+			d.Tech.EdgeSpacing[i][j] = rng.Intn(4)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		d.Types = append(d.Types, model.CellType{
+			Name: "T", Width: 1 + rng.Intn(4), Height: 1 + rng.Intn(3),
+			EdgeL: uint8(rng.Intn(edges)), EdgeR: uint8(rng.Intn(edges)),
+		})
+	}
+	for n := 2 + rng.Intn(14); len(d.Cells) < n; {
+		x, y := rng.Intn(23)-2, rng.Intn(8)-1
+		d.Cells = append(d.Cells, model.Cell{
+			Name: "c", Type: model.CellTypeID(rng.Intn(len(d.Types))),
+			X: x, Y: y, GX: x, GY: y, Fixed: rng.Intn(8) == 0,
+		})
+	}
+	return d
+}
+
+// pairwiseEdgeViolations counts, pair by pair, the movable in-core
+// cells a before b (by left edge, then index) that share a row in which
+// no such cell sorts between them and stand closer than their spacing
+// rule asks.
+func pairwiseEdgeViolations(d *model.Design) int {
+	core := d.Tech.CoreRect()
+	in := func(i int) bool { return !d.Cells[i].Fixed && core.Contains(d.CellRect(model.CellID(i))) }
+	before := func(i, j int) bool {
+		xi, xj := d.Cells[i].X, d.Cells[j].X
+		return xi < xj || xi == xj && i < j
+	}
+	n := 0
+	for a := range d.Cells {
+		for b := range d.Cells {
+			if !in(a) || !in(b) || !before(a, b) {
+				continue
+			}
+			ra, rb := d.CellRect(model.CellID(a)), d.CellRect(model.CellID(b))
+			need := d.Tech.Spacing(d.Type(model.CellID(a)).EdgeR, d.Type(model.CellID(b)).EdgeL)
+			if need == 0 || rb.XLo-ra.XHi >= need {
+				continue
+			}
+			for y := max(ra.YLo, rb.YLo); y < min(ra.YHi, rb.YHi); y++ {
+				between := false
+				for c := range d.Cells {
+					rc := d.CellRect(model.CellID(c))
+					if in(c) && rc.YLo <= y && y < rc.YHi && before(a, c) && before(c, b) {
+						between = true
+					}
+				}
+				if !between {
+					n++
+					break
+				}
+			}
+		}
+	}
+	return n
+}
+
+// Property: on random placements, legal or not, Count's edge-spacing
+// total equals the pair-by-pair recount.
+func TestQuickCountMatchesPairwise(t *testing.T) {
+	f := func(seed int64) bool {
+		d := randomPlacement(rand.New(rand.NewSource(seed)))
+		return NewChecker(d).Count().EdgeSpacing == pairwiseEdgeViolations(d)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

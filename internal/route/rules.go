@@ -1,77 +1,61 @@
 package route
 
 import (
-	"sync"
-
 	"mclegal/internal/model"
 	"mclegal/internal/seg"
 )
 
-// Rules adapts a Checker to the mgl.Rules interface, with memoized
-// per-(type,row-phase) horizontal-rail answers. IOPenaltyDBU is the
-// additive cost charged per IO-pin overlap (paper Section 3.4 gives
-// penalties to insertion points overlapping IO pins).
+// Rules adapts a Checker to the mgl.Rules interface. IOPenaltyDBU is
+// the additive cost charged per IO-pin overlap (paper Section 3.4 gives
+// penalties to insertion points overlapping IO pins). Rules is
+// read-only after NewRules, so MGL's evaluation workers share it.
 type Rules struct {
 	C            *Checker
 	IOPenaltyDBU int64
 
-	mu sync.Mutex
-	//mclegal:ephemeral the memo caches answers derived purely from the immutable tech and type tables; dropping it never changes an answer, only recomputes it
-	rowMemo map[rowKey]bool
-}
-
-type rowKey struct {
-	ct    model.CellTypeID
-	phase int
+	// railMod is the row period of the horizontal-rail answers (0 when
+	// there are no rails), and rowBad[ct][phase] answers RowForbidden
+	// for a cell of type ct whose bottom row has that phase.
+	railMod int
+	rowBad  [][]bool
 }
 
 // NewRules builds the MGL routability hook. A zero penalty defaults to
 // four row heights per overlapping pin.
 func NewRules(c *Checker) *Rules {
-	return &Rules{
-		C:            c,
-		IOPenaltyDBU: 4 * int64(c.d.Tech.RowH),
-		rowMemo:      make(map[rowKey]bool),
+	r := &Rules{C: c, IOPenaltyDBU: 4 * int64(c.d.Tech.RowH)}
+	t := &c.d.Tech
+	if t.HRailPeriod <= 0 {
+		return r
 	}
+	// Only the row phase matters: y modulo the rail period, extended to
+	// the parity period when odd-height flipping is enabled. A period
+	// longer than the core has no more phases than the core has rows.
+	r.railMod = t.HRailPeriod
+	if t.FlipOddRows && r.railMod%2 == 1 {
+		r.railMod *= 2
+	}
+	r.rowBad = make([][]bool, len(c.d.Types))
+	for ct := range r.rowBad {
+		bad := make([]bool, min(r.railMod, t.NumRows))
+		for y := range bad {
+			for pi, p := range c.d.Types[ct].Pins {
+				if p.Layer != t.HRailLayer && p.Layer+1 != t.HRailLayer {
+					continue
+				}
+				box := c.pinBox(model.CellTypeID(ct), &c.d.Types[ct].Pins[pi], 0, y)
+				bad[y] = bad[y] || c.hitsHRail(int64(box.YLo), int64(box.YHi))
+			}
+		}
+		r.rowBad[ct] = bad
+	}
+	return r
 }
 
 // RowForbidden reports whether any pin of the type shorts or blocks
-// against a horizontal rail when the cell's bottom row is y. Only the
-// row phase matters (y modulo the rail period, extended to the parity
-// period when odd-height flipping is enabled), so answers memoize.
+// against a horizontal rail when the cell's bottom row is y, a core row.
 func (r *Rules) RowForbidden(ct model.CellTypeID, y int) bool {
-	t := &r.C.d.Tech
-	if t.HRailPeriod <= 0 {
-		return false
-	}
-	mod := t.HRailPeriod
-	if t.FlipOddRows && mod%2 == 1 {
-		mod *= 2 // phase must also determine the flip parity
-	}
-	key := rowKey{ct: ct, phase: ((y % mod) + mod) % mod}
-	r.mu.Lock()
-	if v, ok := r.rowMemo[key]; ok {
-		r.mu.Unlock()
-		return v
-	}
-	r.mu.Unlock()
-
-	bad := false
-	for pi, p := range r.C.d.Types[ct].Pins {
-		if p.Layer != t.HRailLayer && p.Layer+1 != t.HRailLayer {
-			continue
-		}
-		box := r.C.pinBox(ct, &r.C.d.Types[ct].Pins[pi], 0, key.phase)
-		if r.C.hitsHRail(int64(box.YLo), int64(box.YHi)) {
-			bad = true
-			break
-		}
-	}
-	r.mu.Lock()
-	//mclegal:alloc memo store runs once per (cell type, rail phase) key; steady-state queries return from the populated map above
-	r.rowMemo[key] = bad
-	r.mu.Unlock()
-	return bad
+	return r.railMod > 0 && r.rowBad[ct][y%r.railMod]
 }
 
 // XForbidden reports whether any pin of the type conflicts with a

@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -559,15 +558,13 @@ func (s *Server) classifyRunError(r *http.Request, res flow.Result, err error) *
 	return e
 }
 
-// writeDesignBody serializes d as the .mcl response body.
+// writeDesignBody streams d as the .mcl response body. bmark.Write
+// checks every name before it writes a byte, so an unserializable
+// design still gets a typed error; a write that fails later has lost
+// its client, which the error cannot reach either.
 func writeDesignBody(w http.ResponseWriter, d *model.Design) {
-	var buf bytes.Buffer
-	if err := bmark.Write(&buf, d); err != nil {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if err := bmark.Write(w, d); err != nil {
 		writeError(w, &Error{Kind: KindInternal, Message: err.Error()})
-		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/plain; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
 }

@@ -497,3 +497,43 @@ func TestEvaluateAndAudit(t *testing.T) {
 		t.Errorf("audit response is self-inconsistent: %+v", aur)
 	}
 }
+
+// A movable cell above the core rows is a placement fault to score, not
+// a server fault: evaluate answers 200.
+func TestEvaluateOutOfCoreCell(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	d := testDesign(t)
+	for i := range d.Cells {
+		if !d.Cells[i].Fixed {
+			d.Cells[i].Y = d.Tech.NumRows + 3
+			break
+		}
+	}
+	resp, err := http.Post(ts.URL+"/evaluate", "text/plain", bytes.NewReader(designBytes(t, d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("evaluate = %d: %s", resp.StatusCode, body)
+	}
+}
+
+// Design bodies stream straight to the client, yet a design the format
+// cannot carry still gets a typed error: the names are checked before
+// the first byte goes out.
+func TestUnserializableDesignBody(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	d := testDesign(t)
+	d.Cells[0].Name = "two words"
+	s.AddDesign("bad", d)
+	resp, err := http.Get(ts.URL + "/designs/bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if e := decodeError(t, resp); e.Kind != KindInternal {
+		t.Errorf("kind = %q, want %q", e.Kind, KindInternal)
+	}
+}

@@ -258,7 +258,7 @@ type gateOutcome struct {
 // into the outcome first, so the GateReport still shows how far the
 // attempt got after its artifacts are gone.
 //
-//mclegal:restores design.xy,stagectx every gate failure restores the XY snapshot and the artifact snapshot; hotcells, occupancy and route memos are per-run scratch rebuilt from the design (see their //mclegal:ephemeral declarations)
+//mclegal:restores design.xy,stagectx every gate failure restores the XY snapshot and the artifact snapshot; hotcells and occupancy are per-run scratch rebuilt from the design (see their //mclegal:ephemeral declarations)
 func (p *Pipeline) runGated(ctx context.Context, pc *PipelineContext, s Stage, verify bool) gateOutcome {
 	snap := pc.Design.SnapshotXY()
 	mglStats, maxDispStats, refineReport := pc.MGLStats, pc.MaxDispStats, pc.RefineReport

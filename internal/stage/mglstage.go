@@ -33,7 +33,7 @@ func (s *MGLStage) Critical() bool { return true }
 // Run legalizes the context's design in place and deposits the run's
 // stats as the stage artifact.
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo,stagectx MGL commits legal positions and deposits its stats; the hot view, occupancy index and route memos are per-run scratch
+//mclegal:writes design.xy,hotcells,occupancy,stagectx MGL commits legal positions and deposits its stats; the hot view and occupancy index are per-run scratch
 func (s *MGLStage) Run(ctx context.Context, pc *PipelineContext) error {
 	opt := s.Opt
 	if pc.Rules != nil {

@@ -61,7 +61,7 @@ type ShardedPipeline struct {
 // per-shard results are returned even on error so callers can see
 // partial progress.
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo,stagectx each shard runs a full pipeline over its subdesign and the merge writes the parent's positions
+//mclegal:writes design.xy,hotcells,occupancy,stagectx each shard runs a full pipeline over its subdesign and the merge writes the parent's positions
 func (sp *ShardedPipeline) Run(ctx context.Context, parent *model.Design, shards []Shard) ([]ShardResult, RunReport, error) {
 	results := make([]ShardResult, len(shards))
 	workers := sp.Workers

@@ -126,7 +126,7 @@ type Pipeline struct {
 // isolation, so a panicking stage fails the run with a *PanicError
 // instead of crashing the process.
 //
-//mclegal:writes design.xy,hotcells,occupancy,routememo,stagectx the pipeline mutates exactly what its stages mutate: positions, artifacts, and the per-run scratch views
+//mclegal:writes design.xy,hotcells,occupancy,stagectx the pipeline mutates exactly what its stages mutate: positions, artifacts, and the per-run scratch views
 func (p *Pipeline) RunWithReport(ctx context.Context, pc *PipelineContext) ([]Timing, RunReport, error) {
 	report := RunReport{Status: StatusLegal}
 	timings := make([]Timing, 0, len(p.Stages))
