@@ -118,10 +118,10 @@ mclbench-check:
 	cd mclbench && GOWORK=off $(GO) vet ./...
 	cd mclbench && GOWORK=off $(GO) test ./...
 
-# One-iteration run of the MGL throughput bench, the Table 2, Figure 6
-# and ablation benches, plus the mcf solver sweep in smoke mode (tiny
-# instances, one iteration per config, every instance certified
-# optimal): catches bit-rot in the bench harnesses themselves without
+# One-iteration run of the MGL throughput bench and worker sweep, the
+# Table 2, Figure 6 and ablation benches, plus the mcf solver sweep in
+# smoke mode (tiny instances, one iteration per config, every instance
+# certified optimal): catches bit-rot in the bench harnesses themselves without
 # paying for a real measurement, and drives MGL under the options the
 # request benchmark never sets (GPLeftToRight and WidestAreaFirst
 # order, windows 6/16/48, quality growth off and 6, the MLL baseline's
@@ -130,7 +130,7 @@ mclbench-check:
 # (ROADMAP item 1), and the fix for that adds them. CI runs this on
 # every push.
 bench-smoke:
-	$(GO) test -bench 'MGLThroughput|Table2|Figure6|Ablation' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'MGLThroughput|WorkersSweep|Table2|Figure6|Ablation' -benchtime 1x -run '^$$' .
 	$(GO) run ./cmd/benchjson -mode mcf -smoke -out /dev/null
 
 # The trajectory files of the layers no request benchmark measures:

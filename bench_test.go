@@ -355,18 +355,16 @@ func BenchmarkAblationRefineVsAbacus(b *testing.B) {
 }
 
 // mglThroughputRun is the shared body of the throughput benches: one
-// MGL-only legalization of fft_a per iteration, reporting cells/sec so
-// worker counts are comparable at a glance.
-func mglThroughputRun(b *testing.B, workers int) {
+// MGL-only legalization of base per iteration at opt plus workers,
+// reporting cells/sec so worker counts are comparable at a glance.
+func mglThroughputRun(b *testing.B, base *mclegal.Design, opt mclegal.Options, workers int) {
 	b.Helper()
-	base := ispdDesigns()[1].Clone() // fft_a, low density
+	opt.Workers, opt.SkipMaxDisp, opt.SkipRefine = workers, true, true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := base.Clone()
-		if _, err := mclegal.Legalize(d, mclegal.Options{
-			TotalDisplacement: true, Workers: workers, SkipMaxDisp: true, SkipRefine: true,
-		}); err != nil {
+		if _, err := mclegal.Legalize(d, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,15 +379,28 @@ func mglThroughputRun(b *testing.B, workers int) {
 // machine's core count. Results are byte-identical across worker
 // counts (see docs/PERFORMANCE.md); only the wall clock changes.
 func BenchmarkMGLThroughput(b *testing.B) {
-	b.Run("workers=1", func(b *testing.B) { mglThroughputRun(b, 1) })
-	b.Run("workers=numcpu", func(b *testing.B) { mglThroughputRun(b, runtime.NumCPU()) })
+	base, opt := ispdDesigns()[1], mclegal.Options{TotalDisplacement: true} // fft_a
+	b.Run("workers=1", func(b *testing.B) { mglThroughputRun(b, base, opt, 1) })
+	b.Run("workers=numcpu", func(b *testing.B) { mglThroughputRun(b, base, opt, runtime.NumCPU()) })
 }
 
-// BenchmarkWorkersSweep sweeps the MGL worker count to expose the
-// parallel-scaling trajectory. It is the only worker-count sweep: the
+// BenchmarkWorkersSweep sweeps the MGL worker count on fft_a, whose
+// batches mostly hold more windows than there are workers, and on the
+// request benchmark's dense-fenced instance (contest fft_2_md2 with
+// routability rules), whose batches mostly hold one window that the
+// workers split into row tasks. It is the only worker-count sweep: the
 // request benchmark (mclbench) runs each workload at one fixed count.
 func BenchmarkWorkersSweep(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { mglThroughputRun(b, w) })
+	for _, inst := range []struct {
+		name string
+		base *mclegal.Design
+		opt  mclegal.Options
+	}{
+		{"fft_a", ispdDesigns()[1], mclegal.Options{TotalDisplacement: true}},
+		{"fft_2_md2", contestDesigns()[1], mclegal.Options{Routability: true}},
+	} {
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", inst.name, w), func(b *testing.B) { mglThroughputRun(b, inst.base, inst.opt, w) })
+		}
 	}
 }

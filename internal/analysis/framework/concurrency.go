@@ -545,7 +545,7 @@ func (w *concWalk) spawn(s *ast.GoStmt, held GuardSet) {
 			site.Dynamic = true
 		}
 	case *ast.SelectorExpr:
-		if fn, ok := selectedFunc(w.info, fun); ok && !isInterfaceRecv(w.info, fun) {
+		if fn, ok := selectedFunc(w.info, fun); ok {
 			site.Callee = fn.Origin()
 		} else {
 			site.Dynamic = true
@@ -632,13 +632,6 @@ func selectedFunc(info *types.Info, e *ast.SelectorExpr) (*types.Func, bool) {
 	}
 	fn, ok := info.Uses[e.Sel].(*types.Func)
 	return fn, ok
-}
-
-// isInterfaceRecv reports whether the selector is a method call
-// through an interface value.
-func isInterfaceRecv(info *types.Info, e *ast.SelectorExpr) bool {
-	sel, ok := info.Selections[e]
-	return ok && types.IsInterface(sel.Recv())
 }
 
 // resolveVar resolves an expression to the variable or field object it

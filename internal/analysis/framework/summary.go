@@ -38,12 +38,12 @@ const (
 	AllocMapLit
 	// AllocCompositeRef is &T{...}, a heap-escaping composite.
 	AllocCompositeRef
-	// AllocClosure is a function literal that captures variables and
-	// escapes (stored, returned, or sent — not a direct call argument
-	// or a call-only local).
+	// AllocClosure is a function literal that escapes (stored,
+	// returned, or sent — not a direct call argument or a call-only
+	// local).
 	AllocClosure
-	// AllocBox is a conversion that boxes a non-pointer concrete value
-	// into an interface.
+	// AllocBox is a conversion that boxes a concrete value into an
+	// interface.
 	AllocBox
 	// AllocString is string concatenation or a string<->[]byte/[]rune
 	// conversion.
@@ -206,7 +206,7 @@ func summarize(n *Node) *Summary {
 				}
 			}
 		case *ast.FuncLit:
-			if !acceptedLit[nd] && capturesVariables(info, n.Decl, nd) {
+			if !acceptedLit[nd] {
 				add(AllocClosure, nd.Pos(), false)
 			}
 		}
@@ -216,8 +216,8 @@ func summarize(n *Node) *Summary {
 }
 
 // classifyConversion reports whether the conversion call allocates:
-// string<->[]byte/[]rune traffic, or boxing a non-pointer concrete
-// value into an interface.
+// string<->[]byte/[]rune traffic, or boxing a concrete value into an
+// interface.
 func classifyConversion(info *types.Info, call *ast.CallExpr) (AllocKind, bool) {
 	if len(call.Args) != 1 {
 		return 0, false
@@ -228,10 +228,7 @@ func classifyConversion(info *types.Info, call *ast.CallExpr) (AllocKind, bool) 
 		return 0, false
 	}
 	if types.IsInterface(dst) && !types.IsInterface(src) {
-		if !allocFreeBoxed(src) {
-			return AllocBox, true
-		}
-		return 0, false
+		return AllocBox, true
 	}
 	db, dOK := dst.Underlying().(*types.Basic)
 	sb, sOK := src.Underlying().(*types.Basic)
@@ -245,16 +242,6 @@ func classifyConversion(info *types.Info, call *ast.CallExpr) (AllocKind, bool) 
 		}
 	}
 	return 0, false
-}
-
-// allocFreeBoxed reports whether values of t fit an interface word
-// without heap allocation (pointer-shaped types).
-func allocFreeBoxed(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	}
-	return false
 }
 
 // rootedness solves which locals of n's body are rooted: derived from
@@ -314,28 +301,6 @@ func escapesAsValue(info *types.Info, body *ast.BlockStmt, v *types.Var) bool {
 		return true
 	})
 	return escapes
-}
-
-// capturesVariables reports whether lit references a variable declared
-// in the enclosing function outside the literal itself.
-func capturesVariables(info *types.Info, encl *ast.FuncDecl, lit *ast.FuncLit) bool {
-	captures := false
-	ast.Inspect(lit.Body, func(nd ast.Node) bool {
-		id, ok := nd.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if v.Pos() >= encl.Pos() && v.Pos() < encl.End() &&
-			!(v.Pos() >= lit.Pos() && v.Pos() < lit.End()) {
-			captures = true
-		}
-		return true
-	})
-	return captures
 }
 
 // LocalVar resolves an identifier to the variable it defines or uses.

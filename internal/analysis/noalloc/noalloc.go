@@ -13,9 +13,9 @@
 //     breakpoint arrays — are warm-up growth and accepted; they are
 //     exactly what AllocsPerRun amortizes to zero.
 //   - Everything else is reported: unrooted make/new/append, map
-//     literals and map stores, &composite literals, escaping closures
-//     that capture variables, interface boxing of non-pointer values,
-//     string concatenation/conversion, and go statements.
+//     literals and map stores, &composite literals, escaping closures,
+//     interface boxing, string concatenation/conversion, and go
+//     statements.
 //   - Call edges must stay provable: indirect calls of unknown
 //     function values are reported, interface calls are expanded to
 //     every in-program implementation (and reported when none exists),

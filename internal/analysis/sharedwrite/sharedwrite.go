@@ -16,16 +16,16 @@
 //	pre   — before any spawn: accesses are initialization, exempt
 //	        (happens-before the goroutine via the go statement);
 //	live  — after a spawn: any access to a write-set location is
-//	        diagnosed, unless both sides hold a common mutex;
+//	        diagnosed;
 //	synced — after a barrier: a WaitGroup.Wait, channel op,
 //	        default-less select, or a static call that transitively
 //	        blocks (CallGraph.MayBlock). The barrier is treated as the
 //	        join edge; later accesses are exempt.
 //
-// Mutex acquisition is deliberately NOT a barrier — taking a lock in
-// the continuation orders nothing unless the goroutine takes the same
-// lock, which is exactly the common-guard exemption. Interface and
-// dynamic calls inside the spawned tree are skipped (may-analysis:
+// Mutex acquisition is neither a barrier nor an exemption: no spawner
+// in the concurrency scope shares a locked location with its live
+// goroutine, so a mutex held on both sides takes the directive too.
+// Interface and dynamic calls inside the spawned tree are skipped (may-analysis:
 // the screen reports only what it can prove is written), and a
 // statement containing both a spawn and a barrier is treated as
 // internally joined. This is a screen, not a proof — the dynamic
@@ -46,7 +46,7 @@ import (
 // Analyzer is the static race screen.
 var Analyzer = &framework.Analyzer{
 	Name:      "sharedwrite",
-	Doc:       "flag unguarded continuation accesses to locations a live spawned goroutine writes (suppress with //mclegal:sharedwrite)",
+	Doc:       "flag continuation accesses to locations a live spawned goroutine writes (suppress with //mclegal:sharedwrite)",
 	Program:   findings,
 	Scope:     scope.ConcurrencyScope,
 	Directive: "sharedwrite",
@@ -73,26 +73,8 @@ func findings(prog *framework.Program) ([]framework.Finding, error) {
 	return out, nil
 }
 
-// writeSet is the locations a spawn's call tree writes, each with the
-// intersection of guard sets across its inside writes (nil once any
-// inside write is unguarded).
-type writeSet map[*types.Var]framework.GuardSet
-
-func (ws writeSet) add(v *types.Var, held framework.GuardSet) {
-	have, seen := ws[v]
-	if !seen {
-		ws[v] = held.Clone()
-		return
-	}
-	for m, mode := range have {
-		got, ok := held[m]
-		if !ok {
-			delete(have, m)
-		} else if got < mode {
-			have[m] = got
-		}
-	}
-}
+// writeSet is the locations a spawn's call tree writes.
+type writeSet map[*types.Var]bool
 
 // collectWrites accumulates the write set of one spawned body: its
 // direct non-fresh writes, plus the non-fresh field writes of its
@@ -100,7 +82,7 @@ func (ws writeSet) add(v *types.Var, held framework.GuardSet) {
 func collectWrites(cg *framework.CallGraph, ws writeSet, body *framework.ConcSummary, visited map[*framework.Node]bool) {
 	for _, a := range body.Accesses {
 		if a.Write && !a.Fresh {
-			ws.add(a.Obj, a.Held)
+			ws[a.Obj] = true
 		}
 	}
 	for _, call := range body.Calls {
@@ -125,7 +107,7 @@ func collectCalleeWrites(cg *framework.CallGraph, ws writeSet, n *framework.Node
 	c := n.Conc()
 	for _, a := range c.Accesses {
 		if a.Write && !a.Fresh && a.Obj.IsField() {
-			ws.add(a.Obj, a.Held)
+			ws[a.Obj] = true
 		}
 	}
 	for _, call := range c.Calls {
@@ -187,11 +169,7 @@ func screen(cg *framework.CallGraph, mayBlock map[*framework.Node]*framework.Blo
 				if !in(a.Pos, lo, hi) {
 					continue
 				}
-				guards, written := liveWrites[a.Obj]
-				if !written {
-					continue
-				}
-				if commonGuard(a.Held, guards) {
+				if !liveWrites[a.Obj] {
 					continue
 				}
 				kind := "read"
@@ -200,7 +178,7 @@ func screen(cg *framework.CallGraph, mayBlock map[*framework.Node]*framework.Blo
 				}
 				out = append(out, framework.Finding{
 					Pos: a.Pos,
-					Message: fmt.Sprintf("%s of %s races the goroutine spawned at line %d, which writes it with no common guard and no join in between; join first, guard both sides, or justify with //mclegal:sharedwrite <why>",
+					Message: fmt.Sprintf("%s of %s races the goroutine spawned at line %d, which writes it with no join in between; join first or justify with //mclegal:sharedwrite <why>",
 						kind, a.Obj.Name(), fset.Position(liveSpawn).Line),
 				})
 			}
@@ -224,15 +202,4 @@ func screen(cg *framework.CallGraph, mayBlock map[*framework.Node]*framework.Blo
 		}
 	}
 	return out
-}
-
-// commonGuard reports whether the continuation access and every inside
-// write hold at least one mutex in common.
-func commonGuard(outside, inside framework.GuardSet) bool {
-	for m := range inside {
-		if outside.Holds(m, framework.GuardRead) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,6 @@
 // Fixture for the sharedwrite analyzer: live-window races on fields,
-// captured locals and transitive callee writes are diagnosed; pre-spawn
-// init, post-barrier accesses and common-guard accesses are exempt.
+// captured locals and transitive callee writes are diagnosed, locked
+// or not; pre-spawn init and post-barrier accesses are exempt.
 package stage
 
 import "sync"
@@ -62,7 +62,7 @@ func initThenJoin() int {
 	return a.n
 }
 
-// --- exempt: both sides hold the same mutex ------------------------
+// --- diagnosed: a mutex held on both sides is no exemption ---------
 
 type guarded struct {
 	mu sync.Mutex
@@ -77,7 +77,7 @@ func lockedBoth(g *guarded, done chan struct{}) {
 		done <- struct{}{}
 	}()
 	g.mu.Lock()
-	g.n++
+	g.n++ // want `write of n races the goroutine`
 	g.mu.Unlock()
 	<-done
 }

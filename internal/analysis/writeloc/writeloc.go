@@ -92,7 +92,6 @@ type Vocab struct {
 	fieldLocs map[*types.Var][]string      // tracked field/var -> location names
 	typeSpec  map[*types.TypeName]*locSpec // tracked named type -> its spec
 	typeDecl  map[*types.TypeName]*ast.GenDecl
-	fieldDoc  map[*types.Var]*ast.Field
 
 	reachMemo   map[types.Type]int8
 	containMemo map[types.Type]int8
@@ -123,7 +122,6 @@ func build(prog *framework.Program) *Vocab {
 		fieldLocs:   make(map[*types.Var][]string),
 		typeSpec:    make(map[*types.TypeName]*locSpec),
 		typeDecl:    make(map[*types.TypeName]*ast.GenDecl),
-		fieldDoc:    make(map[*types.Var]*ast.Field),
 		reachMemo:   make(map[types.Type]int8),
 		containMemo: make(map[types.Type]int8),
 	}
@@ -152,15 +150,15 @@ func build(prog *framework.Program) *Vocab {
 					v.fieldLocs[f] = locs
 				}
 			}
-			v.indexDecls(pkg, tn, st)
+			v.indexDecl(pkg, tn)
 		}
 	}
 	return v
 }
 
-// indexDecls records the AST declaration of a tracked type and its
-// fields, so the ephemeral registry can read their doc directives.
-func (v *Vocab) indexDecls(pkg *framework.Package, tn *types.TypeName, st *types.Struct) {
+// indexDecl records the AST declaration of a tracked type, so the
+// ephemeral registry can read its doc directive.
+func (v *Vocab) indexDecl(pkg *framework.Package, tn *types.TypeName) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
@@ -168,21 +166,8 @@ func (v *Vocab) indexDecls(pkg *framework.Package, tn *types.TypeName, st *types
 				continue
 			}
 			for _, sp := range gd.Specs {
-				ts, ok := sp.(*ast.TypeSpec)
-				if !ok || pkg.Info.Defs[ts.Name] != tn {
-					continue
-				}
-				v.typeDecl[tn] = gd
-				stl, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, fld := range stl.Fields.List {
-					for _, name := range fld.Names {
-						if fv, ok := pkg.Info.Defs[name].(*types.Var); ok {
-							v.fieldDoc[fv] = fld
-						}
-					}
+				if ts, ok := sp.(*ast.TypeSpec); ok && pkg.Info.Defs[ts.Name] == tn {
+					v.typeDecl[tn] = gd
 				}
 			}
 		}
@@ -432,18 +417,18 @@ func Effects(prog *framework.Program) (map[*framework.Node]*framework.WriteEffec
 }
 
 // An Ephemeral is one //mclegal:ephemeral declaration on a tracked
-// type or field: per-run scratch whose mutations provably do not
+// type: per-run scratch whose mutations provably do not
 // outlive the stage that makes them, so snapshotsafe excuses its
 // locations from the rollback proof.
 type Ephemeral struct {
 	Locs   []string
 	Pos    token.Pos
 	Reason string
-	What   string // "type mgl.occupancy" / "field <pkg>.<field>"
+	What   string // "type mgl.occupancy"
 }
 
-// Ephemerals scans the tracked types' declarations (and their fields)
-// for //mclegal:ephemeral doc directives. Bare directives (no
+// Ephemerals scans the tracked types' declarations for
+// //mclegal:ephemeral doc directives. Bare directives (no
 // justification) are returned with Reason == "" for the analyzer to
 // report.
 func (v *Vocab) Ephemerals() []Ephemeral {
@@ -458,16 +443,6 @@ func (v *Vocab) Ephemerals() []Ephemeral {
 					What:   "type " + tn.Pkg().Name() + "." + tn.Name(),
 				})
 			}
-		}
-	}
-	for fv, fld := range v.fieldDoc {
-		if reason, ok := framework.DocDirective(fld.Doc, "ephemeral"); ok {
-			out = append(out, Ephemeral{
-				Locs:   v.fieldLocs[fv],
-				Pos:    fld.Pos(),
-				Reason: reason,
-				What:   "field " + fv.Pkg().Name() + "." + fv.Name(),
-			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -378,6 +379,10 @@ type runState struct {
 	taskLo []int32
 	next   atomic.Int32
 
+	// evals counts evaluate calls; with a slot it names the window a
+	// worker's memo was begun for (see beginRowWindow).
+	evals uint64
+
 	// Window-overlap sweep: indices into wins sorted by XLo, with a
 	// parallel prefix-maximum of XHi (see overlapsChosen).
 	byXLo []int32
@@ -536,12 +541,25 @@ func (l *Legalizer) evalRow(sc *scratch, k int) {
 		return
 	}
 	t := rs.batch[tk.slot]
-	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[tk.slot]))
+	l.beginRowWindow(sc, tk.slot)
 	p := l.bestInRow(sc, t, int(tk.y), int(l.hot.H[t]), rs.wins[tk.slot], plan{})
 	if p.ok {
 		tk.x, tk.x0 = int32(p.x), int32(p.x0)
 		tk.cost.Store(p.cost)
 	}
+}
+
+// beginRowWindow begins split slot i's window on sc, unless sc's memo
+// was begun for that window in this evaluate call: a window's rows
+// share one memo, as they do in bestInWindow, since no commit runs
+// between them.
+func (l *Legalizer) beginRowWindow(sc *scratch, i int32) {
+	key := windowKey{eval: l.rs.evals, slot: i}
+	if sc.task == key {
+		return
+	}
+	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(l.rs.wins[i]))
+	sc.task = key
 }
 
 // replay turns split slot i's row results into the plan bestInWindow
@@ -557,7 +575,7 @@ func (l *Legalizer) replay(sc *scratch, i int) {
 		return
 	}
 	tk := &rs.tasks[int(lo)+k]
-	sc.beginWindow(len(l.hot.X), len(l.grid.Segs), l.chainCap(rs.wins[i]))
+	l.beginRowWindow(sc, int32(i))
 	p, ok := l.evaluateInsertion(sc, t, int(tk.y), int(l.hot.H[t]), int(tk.x0), rs.wins[i])
 	if !ok || p.x != int(tk.x) || p.cost != tk.cost.Load() {
 		panic("mgl: re-evaluated insertion point differs from its row task")
@@ -626,6 +644,7 @@ func (l *Legalizer) drain(ctx context.Context, sc *scratch) {
 func (l *Legalizer) evaluate(ctx context.Context, pool *evalPool) error {
 	rs := &l.rs
 	n := len(rs.batch)
+	rs.evals++
 	rs.split = n < l.opt.Workers
 	rs.tasks = rs.tasks[:0]
 	for i := 0; i < n; i++ {
@@ -659,55 +678,111 @@ func (l *Legalizer) evaluate(ctx context.Context, pool *evalPool) error {
 
 // evalPool is the persistent evaluation worker pool of one RunContext:
 // Workers-1 helper goroutines (none at Workers 1) started once and torn
-// down by stop() on every return path. Per batch, each helper takes one
-// token and claims tasks through the batch cursor beside the scheduler
-// goroutine, which drains tasks too. Every worker, the scheduler
-// included, evaluates on one scratch taken from scratchPool for the
-// pool's life.
+// down by stop() on every return path. The scheduler goroutine
+// publishes each batch with one atomic add to batch, claims tasks
+// through the batch cursor beside the helpers, and then polls busy
+// until the helpers are done. Between batches a helper polls batch and
+// parks after pollPark polls, so a batch costs a goroutine wake-up only
+// after a long serial stretch. Every worker, the scheduler included,
+// evaluates on one scratch taken from scratchPool for the pool's life.
 type evalPool struct {
-	start   chan struct{} // one token per helper per batch
+	batch   atomic.Uint32 // batches published, stop's included
+	busy    atomic.Int32  // helpers still draining the current batch
+	stopped atomic.Bool
+	helpers []helper
 	workers sync.WaitGroup
-	pending sync.WaitGroup // helpers still draining the current batch
-	sc      *scratch       // the scheduler goroutine's scratch
+	sc      *scratch // the scheduler goroutine's scratch
 }
+
+// helper is where one helper goroutine parks.
+type helper struct {
+	parked atomic.Bool   // the helper waits on wake
+	wake   chan struct{} // run's token to the parked helper; closed by stop
+}
+
+// A waiting worker yields its thread every pollYield polls, and a
+// helper parks after pollPark polls. Both count polls, not time.
+const (
+	pollYield = 8
+	pollPark  = 1 << 13
+)
 
 // startPool launches the helpers.
 func (l *Legalizer) startPool(ctx context.Context) *evalPool {
-	helpers := l.opt.Workers - 1
-	p := &evalPool{start: make(chan struct{}, helpers), sc: scratchPool.Get()}
-	p.workers.Add(helpers)
-	for w := 0; w < helpers; w++ {
+	p := &evalPool{helpers: make([]helper, l.opt.Workers-1), sc: takeScratch()}
+	p.workers.Add(len(p.helpers))
+	for h := range p.helpers {
+		hp := &p.helpers[h]
+		hp.wake = make(chan struct{}, 1)
 		go func() {
 			defer p.workers.Done()
-			sc := scratchPool.Get()
+			sc := takeScratch()
 			defer scratchPool.Put(sc)
-			for range p.start {
+			for seen := uint32(0); p.await(hp, seen); seen++ {
 				l.drain(ctx, sc)
-				p.pending.Done()
+				p.busy.Add(-1)
 			}
 		}()
 	}
 	return p
 }
 
+// await waits until the batch after seen is published and reports
+// whether hp is to drain it (false once stop has run).
+func (p *evalPool) await(hp *helper, seen uint32) bool {
+	for n := 1; p.batch.Load() == seen; n++ {
+		if n%pollPark == 0 {
+			p.park(hp, seen)
+		} else if n%pollYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	return !p.stopped.Load()
+}
+
+// park blocks hp until the batch after seen is published. The helper
+// flags itself parked before its last look at batch, and run looks at
+// the flag after bumping batch, so either the helper sees the new batch
+// or run sees the flag and sends it a token. A helper that sees the new
+// batch withdraws its flag, unless run took it first.
+func (p *evalPool) park(hp *helper, seen uint32) {
+	hp.parked.Store(true)
+	if p.batch.Load() != seen && hp.parked.Swap(false) {
+		return
+	}
+	<-hp.wake
+}
+
 // run drains the current batch on the helpers and the calling
-// goroutine and blocks until every task is done. The WaitGroup handoff
-// orders the helpers' writes to the runState slots and tasks before
-// the scheduler reads them.
+// goroutine and returns once every task is done. The atomics order the
+// scheduler's batch layout before the helpers' reads, and the helpers'
+// writes to the runState slots and tasks before the scheduler reads
+// them.
 func (p *evalPool) run(ctx context.Context, l *Legalizer) {
-	p.pending.Add(cap(p.start))
-	for i := 0; i < cap(p.start); i++ {
-		p.start <- struct{}{}
+	p.busy.Store(int32(len(p.helpers)))
+	p.batch.Add(1)
+	for h := range p.helpers {
+		if hp := &p.helpers[h]; hp.parked.Load() && hp.parked.Swap(false) {
+			hp.wake <- struct{}{}
+		}
 	}
 	l.drain(ctx, p.sc)
-	p.pending.Wait()
+	for n := 1; p.busy.Load() != 0; n++ {
+		if n%pollYield == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // stop tears the pool down and waits for every worker to exit, so a
 // returned RunContext never leaks goroutines (see
 // TestPoolShutdownNoGoroutineLeak).
 func (p *evalPool) stop() {
-	close(p.start)
+	p.stopped.Store(true)
+	p.batch.Add(1)
+	for h := range p.helpers {
+		close(p.helpers[h].wake)
+	}
 	p.workers.Wait()
 	scratchPool.Put(p.sc)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mclegal/internal/eval"
+	"mclegal/internal/geom"
 	"mclegal/internal/model"
 	"mclegal/internal/seg"
 )
@@ -52,6 +53,57 @@ func TestParallelSeamRegression(t *testing.T) {
 		}
 		if v := eval.Audit(d, grid); len(v) > 0 {
 			t.Fatalf("trial %d: %v (of %d)", trial, v[0], len(v))
+		}
+	}
+}
+
+// A worker's scratch outlives its run: the next run takes it from
+// scratchPool with the last window memo of the earlier run still in
+// it. Row tasks of one window share a memo within an evaluate call, so
+// a memo key that survived the earlier run would let the next run's
+// evaluate call of the same number reuse another design's memo. The
+// first design here runs one batch and the second runs ten, so the
+// second's first batch carries the first's only key. The scheduler's
+// scratch goes back to scratchPool last, so the next run takes it
+// first. In the first design blockages cut the row into two-site
+// segments, and in the second the row is one segment: a stale memo
+// says the second design's row has room for no five-site cell.
+// BatchCap 1 splits every batch at Workers 2 and up, and windows as
+// large as the core keep every cell in one window.
+func TestParallelScratchCarriedAcrossRuns(t *testing.T) {
+	first := newDesign(40, 1)
+	for x := 2; x < 40; x += 3 {
+		first.Blockages = append(first.Blockages, geom.RectWH(x, 0, 1, 1))
+	}
+	addCell(first, 0, 0, 0, 0)
+	second := newDesign(80, 1)
+	rng := rand.New(rand.NewSource(2024))
+	for i := 0; i < 10; i++ {
+		addCell(second, 3, rng.Intn(75), 0, 0)
+	}
+	designs := []*model.Design{first, second}
+	opt := Options{BatchCap: 1, WindowW: 1 << 10, WindowH: 1 << 10}
+	want := make([]*model.Design, len(designs))
+	for k, d := range designs {
+		want[k] = d.Clone()
+		opt.Workers = 1
+		runMGL(t, want[k], opt)
+	}
+	for _, w := range []int{2, 3, 8} {
+		batches := make([]int, len(designs))
+		for k, d := range designs {
+			got := d.Clone()
+			opt.Workers = w
+			batches[k] = runMGL(t, got, opt).Stats.Batches
+			for i := range got.Cells {
+				if g, r := got.Cells[i], want[k].Cells[i]; g.X != r.X || g.Y != r.Y {
+					t.Fatalf("Workers %d, design %d: cell %d at (%d, %d), at Workers 1 (%d, %d)",
+						w, k, i, g.X, g.Y, r.X, r.Y)
+				}
+			}
+		}
+		if batches[0] != 1 || batches[1] <= batches[0] {
+			t.Fatalf("the designs ran %v batches; want 1, then more", batches)
 		}
 	}
 }

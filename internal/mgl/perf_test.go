@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -182,7 +183,9 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 
 // The persistent worker pool must be torn down on every RunContext
 // return path: normal completion, typed error, and cancellation, with
-// window tasks and with row tasks (BatchCap 1 splits every batch).
+// window tasks and with row tasks (BatchCap 1 splits every batch). A
+// pool must also stop cleanly whatever its helpers are doing between
+// batches: polling for the next batch, or parked.
 func TestPoolShutdownNoGoroutineLeak(t *testing.T) {
 	check := func(name string, run func() error, wantErr bool) {
 		t.Helper()
@@ -248,6 +251,28 @@ func TestPoolShutdownNoGoroutineLeak(t *testing.T) {
 			}
 			return err
 		}, true)
+	}
+
+	for _, parked := range []bool{false, true} {
+		name := map[bool]string{false: "stopped while polling", true: "stopped when parked"}[parked]
+		check(name, func() error {
+			d := newDesign(40, 4)
+			grid, err := seg.Build(d)
+			if err != nil {
+				return err
+			}
+			ctx := context.Background()
+			l := New(d, grid, Options{Workers: 4})
+			pool := l.startPool(ctx)
+			pool.run(ctx, l) // an empty batch; the helpers poll for the next
+			for h := range pool.helpers {
+				for parked && !pool.helpers[h].parked.Load() {
+					runtime.Gosched()
+				}
+			}
+			pool.stop()
+			return nil
+		}, false)
 	}
 }
 

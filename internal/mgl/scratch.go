@@ -12,13 +12,18 @@ import (
 // stamp for an insertion point's state. After a few windows of warm-up
 // every buffer has reached its steady-state capacity and a window
 // evaluation performs zero heap allocations (see
-// TestBestInWindowZeroAlloc).
+// TestBestInWindowZeroAlloc). Every insertion point rewrites the
+// slice headers and stamps, so the struct is padded at both ends: no
+// other object's writes share its cache lines.
 type scratch struct {
+	_ [64]byte
+
 	// The window memo: each side's bounds of the local cells (see
-	// bound), each segment's free width (see freeWidth), and the
-	// window's chain cap.
+	// bound), each segment's free width (see freeWidth), the window's
+	// chain cap, and the row task's window it was begun for, if any.
 	window uint32
 	capN   int32
+	task   windowKey
 	memo   [2][]reach
 	free   []segFree
 
@@ -40,6 +45,15 @@ type scratch struct {
 	total     curve.Curve // summed displacement curve (evaluateInsertion)
 	moves     []move      // candidate plan moves (evaluateInsertion)
 	bestMoves []move      // current best plan's moves (bestInWindow)
+
+	_ [64]byte
+}
+
+// windowKey names a split batch's window: the evaluate call and the
+// batch slot. The zero key names none.
+type windowKey struct {
+	eval uint64
+	slot int32
 }
 
 // segFree is a segment's memoized free width in the window (freeWidth).
@@ -73,6 +87,7 @@ func (s *scratch) beginWindow(n, segs, capN int) {
 		s.window = 1
 	}
 	s.capN = int32(capN)
+	s.task = windowKey{}
 }
 
 // beginPoint starts the evaluation of one insertion point: it clears
@@ -90,3 +105,12 @@ func (s *scratch) beginPoint() {
 // scratchPool keeps the scratch buffers of the evaluation workers
 // between runs.
 var scratchPool freelist.List[scratch]
+
+// takeScratch takes a worker's scratch from scratchPool. It forgets
+// the window the scratch's memo was begun for: the key of an earlier
+// run's window can repeat in this run.
+func takeScratch() *scratch {
+	sc := scratchPool.Get()
+	sc.task = windowKey{}
+	return sc
+}
